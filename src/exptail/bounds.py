@@ -9,7 +9,7 @@ single-component tail, the gaussian limit, and a probed finite sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -70,10 +70,8 @@ def min_coordinate_bound(phi: YoungFunction, norm: float, y: float,
     d = d or phi.dimension
     base = chernov_bound(phi, norm, np.full(d, y), evaluator=evaluator)
     raw = (2.0**d) * math.exp(-base.exponent) if not base.diverged else 0.0
-    return TailBound(base.x, min(1.0, raw), base.exponent, base.slack,
-                     clamped=raw > 1.0, diverged=base.diverged,
-                     escaping_ray=base.escaping_ray,
-                     ingredients={**base.ingredients, "octant_factor": 2.0**d})
+    return replace(base, bound=min(1.0, raw), clamped=raw > 1.0,
+                   ingredients={**base.ingredients, "octant_factor": 2.0**d})
 
 
 @dataclass(frozen=True)
@@ -147,9 +145,8 @@ def sum_bound(spec: SumSpec, phi: YoungFunction, x,
     """Chernov bound for S(n) with the Pythagoras norm sigma(n)."""
     sigma = sum_norm_pythagoras(spec, phi, lambda2_certificate)
     tb = chernov_bound(phi, sigma, x, evaluator=evaluator)
-    return TailBound(tb.x, tb.bound, tb.exponent, tb.slack, tb.clamped,
-                     tb.diverged, tb.escaping_ray,
-                     {**tb.ingredients, "sigma_n": sigma, "n": spec.n})
+    return replace(tb, ingredients={**tb.ingredients, "sigma_n": sigma,
+                                    "n": spec.n})
 
 
 def uniform_sum_bound(component_norm: float, phi: YoungFunction, x,
@@ -167,10 +164,8 @@ def uniform_sum_bound(component_norm: float, phi: YoungFunction, x,
         sigmas.append(sum_norm_pythagoras(spec, phi, lambda2_certificate))
     sigma = max(sigmas)
     tb = chernov_bound(phi, sigma, x, evaluator=evaluator)
-    return TailBound(tb.x, tb.bound, tb.exponent, tb.slack, tb.clamped,
-                     tb.diverged, tb.escaping_ray,
-                     {**tb.ingredients, "sigma_sup": sigma,
-                      "n_set": tuple(int(n) for n in n_set)})
+    return replace(tb, ingredients={**tb.ingredients, "sigma_sup": sigma,
+                                    "n_set": tuple(int(n) for n in n_set)})
 
 
 # -- the rescaled-source route -------------------------------------------
@@ -256,9 +251,8 @@ def sum_bound_via_phi_n(phi: YoungFunction, n: int, x,
     """exp(-(phi_n)*(x)) for the normalized sum of n i.i.d. copies."""
     fn = phi_n_function(phi, n)
     tb = chernov_bound(fn, 1.0, x, evaluator=evaluator)
-    return TailBound(tb.x, tb.bound, tb.exponent, tb.slack, tb.clamped,
-                     tb.diverged, tb.escaping_ray,
-                     {**tb.ingredients, "route": "phi_n", "n": n})
+    return replace(tb, ingredients={**tb.ingredients, "route": "phi_n",
+                                    "n": n})
 
 
 def uniform_sum_bound_via_phi_bar(phi: YoungFunction, x, n_max: int = 64,
@@ -272,10 +266,9 @@ def uniform_sum_bound_via_phi_bar(phi: YoungFunction, x, n_max: int = 64,
     fn = phi_bar_fn or phi_bar_function(phi, n_max=n_max)
     ev = evaluator or ConjugateEvaluator(fn)
     tb = chernov_bound(fn, 1.0, x, evaluator=ev)
-    return TailBound(tb.x, tb.bound, tb.exponent, tb.slack, tb.clamped,
-                     tb.diverged, tb.escaping_ray,
-                     {**tb.ingredients, "route": "phi_bar", "n_max": n_max,
-                      "n_truncation": "heuristic"})
+    return replace(tb, ingredients={**tb.ingredients, "route": "phi_bar",
+                                    "n_max": n_max,
+                                    "n_truncation": "heuristic"})
 
 
 # -- lower bounds ------------------------------------------------------------

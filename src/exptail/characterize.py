@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .vectors import enumerate_sign_vectors
+from .vectors import box_grid
 
 CONSISTENT = "consistent"
 VIOLATED = "violated"
@@ -61,12 +61,6 @@ def mixed_forward_difference(f, pts: np.ndarray, k: np.ndarray,
     return total / denom
 
 
-def _grid(box: Sequence, grid_points: int) -> np.ndarray:
-    axes = [np.linspace(lo, hi, grid_points) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
 def check_absolutely_monotonic(f, box: Sequence, k_max: int = 4,
                                grid_points: int = 9,
                                h: Optional[np.ndarray] = None) -> Verdict:
@@ -82,7 +76,7 @@ def check_absolutely_monotonic(f, box: Sequence, k_max: int = 4,
     if np.any(widths <= 0):
         raise ParameterError("box must have positive extent per axis")
     h = np.asarray(h, dtype=float) if h is not None else widths / 64.0
-    pts = _grid(box, grid_points)
+    pts = box_grid(*np.transpose(box), grid_points)
     scale = float(np.max(np.abs(np.asarray(f(pts), dtype=float)))) or 1.0
     atol = 1e-12 * scale
 
@@ -163,7 +157,7 @@ def decomposition_check(f_parts: Sequence, target, box: Sequence,
             raise ParameterError(f"duplicate octant {key}")
         seen.add(key)
 
-    pts = _grid(box, grid_points)
+    pts = box_grid(*np.transpose(box), grid_points)
     total = np.zeros(pts.shape[0])
     at_zero = 0.0
     zero = np.zeros((1, d))
@@ -195,8 +189,3 @@ def decomposition_check(f_parts: Sequence, target, box: Sequence,
         any_inconclusive |= sub.status == INCONCLUSIVE
     status = INCONCLUSIVE if any_inconclusive else CONSISTENT
     return Verdict(status, None, grid_points=pts.shape[0], details=details)
-
-
-def octant_parts_from_signs(d: int):
-    """Convenience: the full ordered octant list for building decompositions."""
-    return enumerate_sign_vectors(d)

@@ -242,6 +242,35 @@ def _skip_reason(phi, est) -> Optional[str]:
     return None
 
 
+def _row_inputs(case_name, n_terms: int, x) -> dict:
+    inputs = {"case": case_name, "n_terms": n_terms}
+    inputs.update({f"x_{j + 1}": float(x[j]) for j in range(x.size)})
+    return inputs
+
+
+def _skip_row(experiment, inputs, seed, reason) -> ResultRecord:
+    return ResultRecord(
+        experiment, inputs,
+        {"bound": "", "empirical": "", "width": "", "verdict": "skip"},
+        seed, provenance={"reason": reason})
+
+
+def _certify(tb, tail_sample, bound_scale: float, floor: float) -> dict:
+    """Outputs of one certified row: the scaled bound against a fresh
+    empirical tail at tb.x, and the verdict."""
+    emp = tail_function(tail_sample, tb.x)
+    bound = tb.bound * bound_scale
+    guarded = tb.bound_with_slack * bound_scale
+    if bound < floor and emp.probability < floor:
+        verdict = "skip"        # both below MC resolution
+    elif guarded >= emp.probability - 3.0 * emp.half_width:
+        verdict = "pass"
+    else:
+        verdict = "fail"
+    return {"bound": float(bound), "empirical": emp.probability,
+            "width": emp.half_width, "verdict": verdict}
+
+
 def _tail_rows(experiment, case_name, phi, dist, x_pts, n, reps, seed,
                bound_scale, evaluator=None):
     """Fit a norm, bound each x, certify against a fresh empirical tail."""
@@ -251,31 +280,16 @@ def _tail_rows(experiment, case_name, phi, dist, x_pts, n, reps, seed,
     ev = evaluator or ConjugateEvaluator(phi)
     floor = 10.0 / reps
     records, failures = [], 0
-    for i in range(x_pts.shape[0]):
-        x = x_pts[i]
-        inputs = {"case": case_name, "n_terms": 1}
-        inputs.update({f"x_{j + 1}": float(x[j]) for j in range(x.size)})
+    for x in x_pts:
+        inputs = _row_inputs(case_name, 1, x)
         if reason is not None:
-            records.append(ResultRecord(
-                experiment, inputs,
-                {"bound": "", "empirical": "", "width": "", "verdict": "skip"},
-                seed, provenance={"reason": reason}))
+            records.append(_skip_row(experiment, inputs, seed, reason))
             continue
         tb = chernov_bound(phi, est.value, x, evaluator=ev)
-        emp = tail_function(tail_sample, x)
-        bound = tb.bound * bound_scale
-        guarded = tb.bound_with_slack * bound_scale
-        if bound < floor and emp.probability < floor:
-            verdict = "skip"        # both below MC resolution
-        elif guarded >= emp.probability - 3.0 * emp.half_width:
-            verdict = "pass"
-        else:
-            verdict = "fail"
-            failures += 1
+        outputs = _certify(tb, tail_sample, bound_scale, floor)
+        failures += outputs["verdict"] == "fail"
         records.append(ResultRecord(
-            experiment, inputs,
-            {"bound": float(bound), "empirical": emp.probability,
-             "width": emp.half_width, "verdict": verdict},
+            experiment, inputs, outputs,
             seed, provenance={"norm": est.value, "slack": tb.slack,
                               "exponent": tb.exponent}))
     return records, failures
@@ -304,39 +318,20 @@ def _sum_rows(experiment, case_name, phi, dist, x_pts, n_set, n, reps, seed,
     for k, n_terms in enumerate(n_set):
         reason = _skip_reason(phi, est) or (None if cert.holds else "no_lambda2")
         if reason is not None:
-            for i in range(x_pts.shape[0]):
-                inputs = {"case": case_name, "n_terms": int(n_terms)}
-                inputs.update({f"x_{j + 1}": float(x_pts[i, j])
-                               for j in range(x_pts.shape[1])})
-                records.append(ResultRecord(
-                    experiment, inputs,
-                    {"bound": "", "empirical": "", "width": "",
-                     "verdict": "skip"},
-                    seed, provenance={"reason": reason}))
+            records.extend(_skip_row(experiment,
+                                     _row_inputs(case_name, int(n_terms), x),
+                                     seed, reason) for x in x_pts)
             continue
         sums = sample_sum(dist, int(n_terms), reps,
                           seed + _TAIL_SEED_OFFSET + k)
         sigma = sum_norm_pythagoras(
             SumSpec(tuple([est.value] * int(n_terms)), int(n_terms)), phi, cert)
-        for i in range(x_pts.shape[0]):
-            x = x_pts[i]
-            inputs = {"case": case_name, "n_terms": int(n_terms)}
-            inputs.update({f"x_{j + 1}": float(x[j]) for j in range(x.size)})
+        for x in x_pts:
             tb = chernov_bound(phi, sigma, x, evaluator=ev)
-            emp = tail_function(sums, x)
-            bound = tb.bound * bound_scale
-            guarded = tb.bound_with_slack * bound_scale
-            if bound < floor and emp.probability < floor:
-                verdict = "skip"    # both below MC resolution
-            elif guarded >= emp.probability - 3.0 * emp.half_width:
-                verdict = "pass"
-            else:
-                verdict = "fail"
-                failures += 1
+            outputs = _certify(tb, sums, bound_scale, floor)
+            failures += outputs["verdict"] == "fail"
             records.append(ResultRecord(
-                experiment, inputs,
-                {"bound": float(bound), "empirical": emp.probability,
-                 "width": emp.half_width, "verdict": verdict},
+                experiment, _row_inputs(case_name, int(n_terms), x), outputs,
                 seed, provenance={"sigma_n": sigma, "norm": est.value}))
     return records, failures
 

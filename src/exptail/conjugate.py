@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, UnreachableLevelError
+from .vectors import bisect_monotone, box_grid
 from .young import YoungFunction
 
 _GRID_RES = {1: 129, 2: 65, 3: 33}
@@ -47,12 +48,6 @@ class ConjugateBatch:
             ray = x / n if n > 0 else x
         return ConjugateValue(float(self.values[i]), self.argmax[i].copy(),
                               float(self.slack[i]), bool(self.diverged[i]), ray)
-
-
-def _full_grid(half_widths: np.ndarray, res: int) -> np.ndarray:
-    axes = [np.linspace(-h, h, res) for h in half_widths]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 def _chunked_scores(Y, X, phiX, limit: int = 4_000_000):
@@ -150,7 +145,7 @@ class ConjugateEvaluator:
         best_x = np.zeros((m, d))
         diverged = np.zeros(m, dtype=bool)
         if fixed is not None:
-            X = _full_grid(fixed, res)
+            X = box_grid(-fixed, fixed, res)
             phiX = self.phi.value_ext(X)
             val, idx = _chunked_scores(Y, X, phiX)
             take = val > best_val
@@ -163,7 +158,7 @@ class ConjugateEvaluator:
         prev_val = np.full(m, -np.inf)
         n_exp = 0
         while True:
-            X = _full_grid(np.full(d, h), res)
+            X = box_grid(-h, np.full(d, h), res)
             phiX = self.phi.value_ext(X)
             val, idx = _chunked_scores(Y, X, phiX)
             take = val > best_val
@@ -188,7 +183,7 @@ class ConjugateEvaluator:
         res = _ZOOM_RES.get(d, 5)
         if Y.shape[0] * res**d > 2_000_000:
             return x, val, cell
-        offsets = _full_grid(np.ones(d), res)        # (res^d, d) in [-1, 1]
+        offsets = box_grid(-1.0, np.ones(d), res)    # (res^d, d) in [-1, 1]
         for _ in range(self.refine_passes):
             w = 2.0 * cell
             cand = x[:, None, :] + offsets[None, :, :] * w[:, None, None]
@@ -348,12 +343,12 @@ def biconjugate_residual(phi: YoungFunction, probes, evaluator=None,
     return float(np.max(np.abs(best_v - target)))
 
 
-def ray_inverse(phi: YoungFunction, direction, level: float,
-                rel_tol: float = 1e-10) -> float:
+def ray_inverse(phi: YoungFunction, direction, level: float) -> float:
     """Solve phi(t * direction) = level for t > 0 by bracketed bisection.
 
     The bracket grows geometrically from 1e-8 by x4 until the level is
-    straddled (capped at the support edge for bounded regions).
+    straddled (capped at the support edge for bounded regions), then is
+    bisected in t down to a relative width of 1e-15.
     """
     if level <= 0:
         raise ParameterError("level must be positive")
@@ -384,17 +379,7 @@ def ray_inverse(phi: YoungFunction, direction, level: float,
     if not f(t_hi) >= level:
         raise UnreachableLevelError(
             f"level {level} not reachable along the ray (support limit {limit})")
-    for _ in range(200):
-        mid = 0.5 * (t_lo + t_hi)
-        fm = f(mid)
-        if abs(fm - level) <= rel_tol * level:
-            return mid
-        if fm < level:
-            t_lo = mid
-        else:
-            t_hi = mid
-        if (t_hi - t_lo) <= 1e-15 * t_hi:
-            break
+    t_lo, t_hi = bisect_monotone(lambda t: f(t) >= level, t_lo, t_hi, 1e-15)
     return 0.5 * (t_lo + t_hi)
 
 
@@ -468,9 +453,7 @@ def log_reparam_conjugate(phi: YoungFunction, r, mu_lo: float = -40.0) -> float:
     res = 2001 if d == 1 else (41 if d == 2 else 13)
     best_v, best_mu = -np.inf, None
     for _ in range(200):
-        axes = [np.linspace(mu_lo, mu_hi[j], res) for j in range(d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        pts = box_grid(mu_lo, mu_hi, res)
         vals = obj(pts)
         i = int(np.argmax(vals))
         if vals[i] > best_v:

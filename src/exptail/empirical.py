@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ParameterError
-from .vectors import enumerate_sign_vectors, log_mean_exp
+from .vectors import enumerate_sign_vectors, log_cosh, log_mean_exp
 from .young import SupportRegion, YoungFunction, make_custom
 
 #: Rows generated per derived-seed chunk.
@@ -131,9 +130,7 @@ def _logcosh_expectation(a: np.ndarray, t: np.ndarray,
     step = max(1, 4_000_000 // t.size)
     for lo in range(0, a.shape[0], step):
         hi = min(a.shape[0], lo + step)
-        A = np.abs(a[lo:hi, None] * t[None, :])
-        lc = A + np.log1p(np.exp(-2.0 * A)) - math.log(2.0)
-        z = lc + logw[None, :]
+        z = log_cosh(a[lo:hi, None] * t[None, :]) + logw[None, :]
         m = z.max(axis=1, keepdims=True)
         out[lo:hi] = (m[:, 0] + np.log(np.sum(np.exp(z - m), axis=1)))
     return out
@@ -160,8 +157,7 @@ class RademacherScaled:
 
         def f(lam):
             lam = np.atleast_2d(np.asarray(lam, dtype=float))
-            a = np.abs(s * lam)
-            return np.sum(a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0), axis=-1)
+            return np.sum(log_cosh(s * lam), axis=-1)
 
         return f
 
@@ -237,11 +233,16 @@ def analytic_natural_function(dist) -> Callable:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """An n x d block of i.i.d. draws plus its reproducibility metadata."""
+    """An n x d block of i.i.d. draws plus its reproducibility metadata.
+
+    ``natural_ok`` is false when the law fails Kramer's condition (no finite
+    MGF near 0); it travels with every set derived from the draws.
+    """
 
     data: np.ndarray
     seed: int
     distribution_tag: str
+    natural_ok: bool = True
 
     def __post_init__(self):
         if self.data.ndim != 2 or self.data.shape[0] < 1:
@@ -259,7 +260,7 @@ class SampleSet:
 
     def scaled(self, alpha: float) -> "SampleSet":
         return SampleSet(self.data * alpha, self.seed,
-                         f"{self.distribution_tag}*{alpha}")
+                         f"{self.distribution_tag}*{alpha}", self.natural_ok)
 
     def to_csv(self, path):
         header = f"dim={self.dimension},seed={self.seed},tag={self.distribution_tag}"
@@ -275,7 +276,7 @@ def sample(dist, n: int, seed: int) -> SampleSet:
     for ci, lo in enumerate(range(0, n, SAMPLE_CHUNK)):
         m = min(SAMPLE_CHUNK, n - lo)
         blocks.append(dist.draw(_chunk_rng(seed, ci), m))
-    return SampleSet(np.vstack(blocks), seed, dist.tag)
+    return SampleSet(np.vstack(blocks), seed, dist.tag, dist.natural_ok)
 
 
 def sample_sum(dist, n_terms: int, reps: int, seed: int) -> SampleSet:
@@ -283,7 +284,8 @@ def sample_sum(dist, n_terms: int, reps: int, seed: int) -> SampleSet:
     raw = sample(dist, n_terms * reps, seed)
     d = dist.dimension
     sums = raw.data.reshape(reps, n_terms, d).sum(axis=1) / math.sqrt(n_terms)
-    return SampleSet(sums, seed, f"sum(n={n_terms})[{dist.tag}]")
+    return SampleSet(sums, seed, f"sum(n={n_terms})[{dist.tag}]",
+                     raw.natural_ok)
 
 
 # -- empirical estimators -----------------------------------------------------
@@ -365,7 +367,6 @@ class EmpiricalNaturalFunction:
         self._signs = enumerate_sign_vectors(source.dimension)
         self.trust_fraction = trust_fraction
         self.dimension = source.dimension
-        self._cache: dict = {}
 
     def evaluate(self, lam):
         vals, _ = self.evaluate_with_trust(lam)
@@ -377,17 +378,10 @@ class EmpiricalNaturalFunction:
         """Values and per-point trust flags; batched over (..., d) points."""
         lam = np.asarray(lam, dtype=float)
         single = lam.ndim == 1
-        pts = np.atleast_2d(lam)
-        key = pts.tobytes()
-        if key in self._cache:
-            vals, trusted = self._cache[key]
-        else:
-            vals, trusted = self._evaluate_block(pts)
-            if pts.shape[0] <= 4096:
-                self._cache[key] = (vals, trusted)
+        vals, trusted = self._evaluate_block(np.atleast_2d(lam))
         if single:
             return float(vals[0]), bool(trusted[0])
-        return vals.copy(), trusted.copy()
+        return vals, trusted
 
     def _evaluate_block(self, pts):
         n = self._data.shape[0]
@@ -472,22 +466,14 @@ class EmpiricalNaturalFunction:
                            params={"lam_max": lam_max, "n": self.source.n})
 
 
-def _kramer_ok_tag(tag: str) -> bool:
-    """Refuse families whose MGF is infinite near 0 (weibull with p < 1)."""
-    m = re.match(r"weibull\(p=([0-9.eE+-]+)", tag)
-    if m:
-        return float(m.group(1)) >= 1.0
-    return True
-
-
 def natural_function(s: SampleSet, recenter: bool = True,
                      trust_fraction: float = 0.1) -> EmpiricalNaturalFunction:
     """Empirical natural function of a sample set.
 
-    Laws failing Kramer's condition (weibull p < 1, by family tag) are
-    refused: their natural function does not exist.
+    Laws failing Kramer's condition (weibull p < 1, or a custom law declared
+    without one) are refused: their natural function does not exist.
     """
-    if not _kramer_ok_tag(s.distribution_tag):
+    if not s.natural_ok:
         raise ParameterError(
             f"natural function undefined for {s.distribution_tag}: "
             "Kramer's condition fails")

@@ -16,7 +16,7 @@ import numpy as np
 from .conjugate import ConjugateEvaluator, log_reparam_conjugate
 from .empirical import SampleSet
 from .errors import InsufficientProbesError, ParameterError
-from .vectors import sphere_directions
+from .vectors import bisect_monotone, double_until, sphere_directions
 from .young import YoungFunction
 
 
@@ -94,26 +94,17 @@ def bphi_norm(mgf_log, phi: YoungFunction, plan: Optional[ProbePlan] = None,
         rhs = phi.value_ext(tau * pts)
         return bool(np.all(vals <= rhs + 1e-12 + 1e-12 * np.abs(rhs)))
 
-    def bisect(lo: float, hi: float) -> float:
-        while hi - lo > rel_tol * hi:
-            mid = 0.5 * (lo + hi)
-            if ok(mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
+    def capped() -> NormEstimate:
+        return NormEstimate(math.inf, (tau_max, math.inf), plan.description,
+                            trust_flags=n_discard, flags=("exceeds_cap",))
 
     if ok(0.0):
         return NormEstimate(0.0, (0.0, 0.0), plan.description,
                             trust_flags=n_discard)
-    hi = 1.0
-    while not ok(hi):
-        hi *= 2.0
-        if hi > tau_max:
-            return NormEstimate(math.inf, (tau_max, math.inf),
-                                plan.description, trust_flags=n_discard,
-                                flags=("exceeds_cap",))
-    value = bisect(0.0, hi)
+    hi = double_until(ok, 1.0, tau_max)
+    if math.isinf(hi):
+        return capped()
+    value = bisect_monotone(ok, 0.0, hi, rel_tol)[1]
 
     if refine:
         # one pass of extra probes around the binding constraint
@@ -133,16 +124,11 @@ def bphi_norm(mgf_log, phi: YoungFunction, plan: Optional[ProbePlan] = None,
         if np.any(ekeep):
             pts = np.vstack([pts, extra[ekeep]])
             vals = np.concatenate([vals, evals[ekeep]])
-            if not ok(value):
-                hi = value
-                while not ok(hi):
-                    hi *= 2.0
-                    if hi > tau_max:
-                        return NormEstimate(math.inf, (tau_max, math.inf),
-                                            plan.description,
-                                            trust_flags=n_discard,
-                                            flags=("exceeds_cap",))
-                value = bisect(value, hi)
+            # a value that still holds comes back unchanged
+            hi = double_until(ok, value, tau_max)
+            if math.isinf(hi):
+                return capped()
+            value = bisect_monotone(ok, value, hi, rel_tol)[1]
 
     rhs = phi.value_ext(value * pts)
     residual = float(np.max(vals - rhs))
@@ -177,16 +163,10 @@ def odot(a: float, b: float, phi: YoungFunction,
         lhs = phi.value_ext(c * pts)
         return bool(np.all(lhs >= target - 1e-12 - 1e-12 * np.abs(target)))
 
-    lo, hi = max(a, b), a + b
+    lo = max(a, b)
     if ok(lo):
         return float(lo)
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return float(hi)
+    return float(bisect_monotone(ok, lo, a + b, rel_tol)[1])
 
 
 def gls_norm_1d(moments: Callable[[float], float], psi: Callable[[float], float],
@@ -301,24 +281,17 @@ def luxemburg_norm(s: SampleSet, N: OrliczFunction, rel_tol: float = 1e-4,
         mean = float(np.mean(vals))
         return math.isfinite(mean) and mean <= 1.0
 
-    hi = float(np.max(np.abs(data))) or 1.0
-    while not ok(hi):
-        hi *= 2.0
-        if hi > c_max:
-            return NormEstimate(math.inf, (c_max, math.inf), plan,
-                                flags=("exceeds_cap",))
+    hi = double_until(ok, float(np.max(np.abs(data))) or 1.0, c_max)
+    if math.isinf(hi):
+        return NormEstimate(math.inf, (c_max, math.inf), plan,
+                            flags=("exceeds_cap",))
     lo = hi
     while ok(lo):
         hi = lo
         lo *= 0.5
         if lo < 1e-12 * hi or lo < 1e-300:
             return NormEstimate(lo, (0.0, lo), plan)
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = bisect_monotone(ok, lo, hi, rel_tol)
     return NormEstimate(hi, (lo, hi), plan)
 
 

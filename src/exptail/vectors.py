@@ -1,4 +1,6 @@
-"""Sign-vector combinatorics, octant geometry, and log-space accumulation.
+"""Sign-vector combinatorics, octant geometry, log-space accumulation, and
+the numerical primitives every other module shares: monotone bisection,
+box grids, and a stable log-cosh.
 
 Everything here is a pure function of immutable inputs; no shared state.
 Sign vectors are plain float arrays with entries in {-1.0, +1.0}.
@@ -7,9 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
+from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DimensionCapError, ShapeMismatchError
 
@@ -30,12 +33,6 @@ def enumerate_sign_vectors(d: int, cap: int = DIMENSION_CAP) -> np.ndarray:
     idx = np.arange(2**d, dtype=np.uint32)
     bits = (idx[:, None] >> np.arange(d, dtype=np.uint32)[None, :]) & 1
     return 1.0 - 2.0 * bits.astype(float)
-
-
-def is_sign_vector(eps) -> bool:
-    """True when every entry of ``eps`` is exactly +1 or -1."""
-    eps = np.asarray(eps, dtype=float)
-    return eps.ndim == 1 and eps.size > 0 and bool(np.all(np.abs(eps) == 1.0))
 
 
 def coordinatewise_product(eps, x) -> np.ndarray:
@@ -150,7 +147,53 @@ def sphere_directions(d: int, count: int) -> np.ndarray:
     alpha = g ** -(1.0 + np.arange(d))
     u = ((np.arange(1, count + 1)[:, None]) * alpha[None, :] + 0.5) % 1.0
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    z = ndtri(u)
+    z = np.vectorize(NormalDist().inv_cdf, otypes=[float])(u)
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return z / norms
+
+
+def double_until(ok: Callable[[float], bool], hi: float, cap: float) -> float:
+    """Double ``hi`` until ``ok(hi)`` holds; +inf once ``hi`` passes ``cap``.
+
+    ``ok`` must be monotone (false below a threshold, true above it), so the
+    returned value brackets the threshold from above.
+    """
+    while not ok(hi):
+        hi *= 2.0
+        if hi > cap:
+            return math.inf
+    return hi
+
+
+def bisect_monotone(ok: Callable[[float], bool], lo: float, hi: float,
+                    rel_tol: float) -> tuple:
+    """Halve [lo, hi] around the threshold of a monotone predicate.
+
+    The caller guarantees ``ok(hi)``; ``lo`` is kept unless a midpoint fails,
+    and neither end is ever re-tested. Returns ``(lo, hi)`` with
+    ``hi - lo <= rel_tol * hi`` and ``ok(hi)`` still holding.
+    """
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def box_grid(lo, hi, res: int) -> np.ndarray:
+    """The res^d points of the axis-aligned grid on [lo, hi] as a (res^d, d)
+    array, first axis slowest; ``lo`` and ``hi`` broadcast per axis."""
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float),
+                                 np.asarray(hi, dtype=float))
+    axes = [np.linspace(a, b, res) for a, b in zip(lo, hi)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def log_cosh(x) -> np.ndarray:
+    """log cosh(x) elementwise, exact at 0 and free of overflow for large |x|."""
+    a = np.abs(x)
+    return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)

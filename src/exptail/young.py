@@ -15,7 +15,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import OutsideSupportError, ParameterError
-from .vectors import enumerate_sign_vectors, sphere_directions
+from .vectors import (bisect_monotone, double_until, enumerate_sign_vectors,
+                      log_cosh, sphere_directions)
 
 
 @dataclass(frozen=True)
@@ -279,8 +280,7 @@ def make_logcosh(d: int, scale: float = 1.0) -> YoungFunction:
         raise ParameterError("scale must be positive")
 
     def ev(x):
-        a = np.abs(scale * x)
-        return np.sum(a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0), axis=-1)
+        return np.sum(log_cosh(scale * x), axis=-1)
 
     def gr(x):
         return scale * np.tanh(scale * x)
@@ -370,19 +370,10 @@ def check_delta2_seminorm(phi: YoungFunction, A, rel_tol: float = 1e-6,
 
     if ok(0.0):
         return 0.0
-    hi = 1.0
-    while not ok(hi):
-        hi *= 2.0
-        if hi > m_max:
-            return math.inf
-    lo = 0.0
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    hi = double_until(ok, 1.0, m_max)
+    if math.isinf(hi):
+        return math.inf
+    return bisect_monotone(ok, 0.0, hi, rel_tol)[1]
 
 
 def check_absolutely_even(f, dimension: int, trial_count: int = 200,

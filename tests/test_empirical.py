@@ -273,3 +273,23 @@ class TestSampleSum:
         a = sample_sum(RademacherScaled(1.0, 1), 4, 1000, seed=9)
         b = sample_sum(RademacherScaled(1.0, 1), 4, 1000, seed=9)
         assert np.array_equal(a.data, b.data)
+
+
+class TestKramerGate:
+    """The natural-function gate follows the law, not its tag."""
+
+    def test_sum_of_weibull_below_kramer_refused(self):
+        s = sample_sum(SymmetricWeibull(0.5, 1.0, 1), 4, 1000, seed=0)
+        with pytest.raises(ParameterError):
+            natural_function(s)
+
+    def test_custom_without_natural_function_refused(self):
+        dist = CenteredCustom(lambda n, rng: rng.standard_normal((n, 1)), 1,
+                              natural_ok=False)
+        with pytest.raises(ParameterError):
+            natural_function(sample(dist, 500, seed=1))
+
+    def test_scaled_sample_keeps_the_gate(self):
+        s = sample(SymmetricWeibull(0.5, 1.0, 1), 500, seed=2).scaled(2.0)
+        with pytest.raises(ParameterError):
+            natural_function(s)

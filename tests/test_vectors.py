@@ -1,12 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
-from exptail.vectors import (DIMENSION_CAP, LogValue, coordinatewise_product,
-                             enumerate_sign_vectors, log_mean_exp,
+import exptail
+from exptail.vectors import (DIMENSION_CAP, LogValue, bisect_monotone,
+                             box_grid, coordinatewise_product, double_until,
+                             enumerate_sign_vectors, log_cosh, log_mean_exp,
                              octant_contains, octants_containing,
                              sphere_directions)
 from exptail.errors import DimensionCapError, ShapeMismatchError
@@ -152,3 +159,84 @@ class TestSphereDirections:
     def test_d1_signs(self):
         a = sphere_directions(1, 6)
         assert set(np.unique(a)) == {-1.0, 1.0}
+
+
+class TestNoScipyAtRuntime:
+    def test_import_leaves_scipy_out(self):
+        src = str(Path(exptail.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import exptail, exptail.cli, sys; "
+                "assert 'scipy' not in sys.modules, 'scipy imported'")
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_sphere_directions_match_ndtri_lattice(self, d):
+        count = 1000
+        g = 1.5
+        for _ in range(60):
+            g = (1.0 + g) ** (1.0 / (d + 1))
+        alpha = g ** -(1.0 + np.arange(d))
+        u = ((np.arange(1, count + 1)[:, None]) * alpha[None, :] + 0.5) % 1.0
+        z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+        ref = z / np.linalg.norm(z, axis=1, keepdims=True)
+        assert np.max(np.abs(sphere_directions(d, count) - ref)) <= 4e-15
+
+
+class TestMonotoneSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1e-6, 1e6), st.sampled_from([1e-3, 1e-6, 1e-10]))
+    def test_bisect_brackets_threshold(self, thr, rel_tol):
+        def ok(t):
+            return t >= thr
+
+        hi = double_until(ok, 1.0, 1e7)
+        assert ok(hi)
+        lo, hi = bisect_monotone(ok, 0.0, hi, rel_tol)
+        assert ok(hi) and not ok(lo)
+        assert hi - lo <= rel_tol * hi
+
+    def test_bisect_keeps_lo_and_passing_hi(self):
+        calls = []
+
+        def ok(t):
+            calls.append(t)
+            return t >= 3.0
+
+        assert bisect_monotone(ok, 2.0, 2.0, 1e-6) == (2.0, 2.0)
+        assert calls == []
+        lo, hi = bisect_monotone(ok, 2.0, 4.0, 1e-6)
+        assert calls[0] == 3.0 and 2.0 not in calls and 4.0 not in calls
+        assert lo < 3.0 <= hi
+
+    def test_double_until_cap_is_not_found(self):
+        assert double_until(lambda t: t >= 100.0, 1.0, 50.0) == math.inf
+        assert double_until(lambda t: t >= 100.0, 1.0, 128.0) == 128.0
+        assert double_until(lambda t: True, 5.0, 1.0) == 5.0
+
+
+class TestBoxGrid:
+    def test_axes_and_order(self):
+        pts = box_grid([0.0, -1.0], [1.0, 1.0], 3)
+        assert pts.shape == (9, 2)
+        assert pts[:3].tolist() == [[0.0, -1.0], [0.0, 0.0], [0.0, 1.0]]
+        assert pts[-1].tolist() == [1.0, 1.0]
+
+    def test_scalar_bound_broadcasts(self):
+        assert np.array_equal(box_grid(-2.0, np.full(3, 2.0), 5),
+                              box_grid(np.full(3, -2.0), np.full(3, 2.0), 5))
+
+
+class TestLogCosh:
+    def test_matches_direct_formula(self):
+        x = np.linspace(-20.0, 20.0, 81)
+        assert np.allclose(log_cosh(x), np.log(np.cosh(x)), rtol=1e-14,
+                           atol=1e-15)
+        assert log_cosh(np.zeros(1))[0] == 0.0
+
+    def test_no_overflow(self):
+        big = np.array([-1e4, 1e4])
+        assert np.allclose(log_cosh(big), 1e4 - math.log(2.0), rtol=1e-15)
