@@ -214,35 +214,42 @@ def _geometric_n_set(n_max: int) -> list:
     return ns
 
 
+def _envelope(phi: YoungFunction, ns: Sequence[int], x: np.ndarray) -> np.ndarray:
+    """max of 0.5 (phi''(0) x, x) and n phi(x / sqrt n) over n in ``ns``.
+
+    All branches go through one ``value_ext`` call on a (branches, ..., d)
+    stack; the maximum over them is exact, so the result equals a
+    branch-by-branch loop.
+    """
+    H = phi.hessian_at_origin
+    limit = 0.5 * np.einsum("...i,ij,...j->...", x, H, x)
+    n = np.asarray(ns, dtype=float)
+    lift = (-1,) + (1,) * (x.ndim - 1)      # a leading axis over branches
+    scaled = x / np.sqrt(n).reshape(lift + (1,))
+    # flat (points, d) rows: evaluators built on (n, d) blocks, such as the
+    # empirical natural function, need not accept extra leading axes
+    vals = phi.value_ext(scaled.reshape(-1, x.shape[-1]))
+    branches = n.reshape(lift) * vals.reshape(scaled.shape[:-1])
+    return np.maximum(limit, branches.max(axis=0))
+
+
 def phi_bar(phi: YoungFunction, lam, n_max: int = 64) -> np.ndarray:
     """sup over the declared n-set {1, 2, 4, ..., n_max} of n phi(lam/sqrt n),
     plus the CLT limit candidate 0.5 (phi''(0) lam, lam) standing in for the
     tail of the n-sequence.
     """
     lam = np.atleast_2d(np.asarray(lam, dtype=float))
-    H = phi.hessian_at_origin
-    best = 0.5 * np.einsum("...i,ij,...j->...", lam, H, lam)
-    for n in _geometric_n_set(n_max):
-        best = np.maximum(best, n * phi.value_ext(lam / math.sqrt(n)))
-    return best
+    return _envelope(phi, _geometric_n_set(n_max), lam)
 
 
 def phi_bar_function(phi: YoungFunction, n_max: int = 64,
                      n_set: Optional[Sequence[int]] = None) -> YoungFunction:
     """The uniform envelope as a YoungFunction (no gradient: max of branches)."""
     ns = [int(n) for n in (n_set if n_set is not None else _geometric_n_set(n_max))]
-    H = phi.hessian_at_origin
-    roots = np.array([math.sqrt(n) for n in ns])
-
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        best = 0.5 * np.einsum("...i,ij,...j->...", x, H, x)
-        for n, r in zip(ns, roots):
-            best = np.maximum(best, n * phi.value_ext(x / r))
-        return best
-
-    return make_custom(phi.dimension, ev, support=phi.support,
-                       hessian_at_origin=H,
+    return make_custom(phi.dimension,
+                       lambda x: _envelope(phi, ns, np.asarray(x, dtype=float)),
+                       support=phi.support,
+                       hessian_at_origin=phi.hessian_at_origin,
                        params={"base": phi.family, "n_set": tuple(ns)})
 
 

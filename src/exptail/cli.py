@@ -406,6 +406,7 @@ def _run_verify_suite(cfg: ExperimentConfig) -> tuple:
         raise ConfigError("cases", "must be a nonempty list")
     records, failures = [], 0
     for idx, case in enumerate(cases):
+        t0 = time.perf_counter()
         if not isinstance(case, dict):
             raise ConfigError(f"cases[{idx}]", "each case must be an object")
         name = case.get("name", f"case{idx}")
@@ -432,6 +433,9 @@ def _run_verify_suite(cfg: ExperimentConfig) -> tuple:
                                     n_set, n, reps, seed, scale)
         else:
             raise ConfigError(f"cases[{idx}].kind", f"unknown kind {kind!r}")
+        elapsed = time.perf_counter() - t0
+        for r in rows:
+            r.wall_time = elapsed
         records.extend(rows)
         failures += fails
     return records, (1 if failures else 0)
@@ -449,12 +453,17 @@ _HANDLERS = {
 
 
 def run(cfg: ExperimentConfig):
-    """Execute one experiment; returns (records, exit_status)."""
+    """Execute one experiment; returns (records, exit_status).
+
+    A record's ``wall_time`` is the time of its own case where the
+    experiment has cases (verify-suite), else the time of the whole run.
+    """
     t0 = time.perf_counter()
     records, status = _HANDLERS[cfg.experiment](cfg)
     elapsed = time.perf_counter() - t0
     for r in records:
-        r.wall_time = elapsed
+        if not r.wall_time:
+            r.wall_time = elapsed
     if cfg.out:
         emit_table(records, cfg.format, cfg.out)
     return records, status

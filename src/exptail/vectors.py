@@ -19,6 +19,11 @@ from .errors import DimensionCapError, ShapeMismatchError
 #: Hard cap on dimensions that trigger 2^d enumerations.
 DIMENSION_CAP = 16
 
+#: Floor for arguments of exp whose result is added to a term >= 1. Below
+#: about -708 numpy's exp leaves its fast path (tens of times slower per
+#: element); anything under e^-700 is lost to rounding next to 1 anyway.
+EXP_FLOOR = -700.0
+
 
 def enumerate_sign_vectors(d: int, cap: int = DIMENSION_CAP) -> np.ndarray:
     """All 2^d sign vectors as a (2^d, d) array in binary-counting order.
@@ -196,4 +201,4 @@ def box_grid(lo, hi, res: int) -> np.ndarray:
 def log_cosh(x) -> np.ndarray:
     """log cosh(x) elementwise, exact at 0 and free of overflow for large |x|."""
     a = np.abs(x)
-    return a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
+    return a + np.log1p(np.exp(np.maximum(-2.0 * a, EXP_FLOOR))) - math.log(2.0)

@@ -9,12 +9,14 @@ from exptail.bounds import (SumSpec, chernov_bound, lower_bound,
                             phi_n, phi_n_function, sum_bound,
                             sum_bound_via_phi_n, sum_norm_pythagoras,
                             transform_norm, uniform_sum_bound)
-from exptail.empirical import (Gaussian, RademacherScaled, natural_function,
-                               sample_sum, tail_function)
+from exptail.empirical import (Gaussian, RademacherScaled, SymmetricWeibull,
+                               natural_function, sample, sample_sum,
+                               tail_function)
 from exptail.errors import OutsideSupportError, ParameterError
 from exptail.norms import bphi_norm, ray_probe_plan
 from exptail.vectors import log_mean_exp, log_mean_exp_se
-from exptail.young import check_lambda2, make_logcosh, make_power, make_quadratic
+from exptail.young import (check_lambda2, make_bounded_support, make_custom,
+                           make_logcosh, make_power, make_quadratic)
 
 
 class TestChernovBound:
@@ -242,3 +244,66 @@ class TestLowerBound:
                          reps=40_000, seed=7)
         ub = uniform_sum_bound(1.0, phi, [1.2, 1.2], [1, 4, 16], cert)
         assert lb.value <= ub.bound
+
+
+def _phi_bar_loop(phi, x, ns):
+    """The branch-by-branch envelope, kept as the reference."""
+    H = phi.hessian_at_origin
+    best = 0.5 * np.einsum("...i,ij,...j->...", x, H, x)
+    for n in ns:
+        best = np.maximum(best, n * phi.value_ext(x / math.sqrt(n)))
+    return best
+
+
+def _weibull_phi(p, scale, d):
+    dist = SymmetricWeibull(p, scale, d)
+    mgf = dist.mgf_log(lam_max=64.0)
+    return make_custom(d, lambda x: mgf(np.atleast_2d(x)),
+                       hessian_at_origin=dist.coordinate_variance() * np.eye(d))
+
+
+class TestStackedEnvelope:
+    @pytest.mark.parametrize("make", [
+        lambda: make_quadratic([[2.0, 0.3], [0.3, 1.0]]),
+        lambda: make_power(4.0, 1.0, 2),
+        lambda: make_power(1.5, 0.7, 1),
+        lambda: _weibull_phi(1.5, 0.2, 1),
+        lambda: _weibull_phi(4.0, 1.0, 2),
+        lambda: make_bounded_support(1.0, 1.0),
+    ])
+    def test_equals_branch_loop(self, make):
+        phi = make()
+        d = phi.dimension
+        x = np.random.default_rng(4).uniform(-6.0, 6.0, (40, d))
+        x[0] = 0.0
+        ns = [1, 2, 4, 8, 16, 32, 64]
+        want = _phi_bar_loop(phi, x, ns)
+        assert np.array_equal(phi_bar(phi, x, n_max=64), want)
+        fb = phi_bar_function(phi, n_max=64)
+        assert np.array_equal(fb.value_ext(x), want)
+        assert np.array_equal(fb.value_ext(x.reshape(4, 10, d)),
+                              want.reshape(4, 10))
+        assert fb.value_ext(x[1]) == want[1]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_empirical_natural_function_branches(self, d):
+        s = sample(Gaussian(np.eye(d)), 4000, seed=6)
+        nat = natural_function(s)
+        phi = make_custom(d, nat.evaluate, hessian_at_origin=np.eye(d))
+        x = np.random.default_rng(2).uniform(0.0, 2.0, (12, d))
+        want = _phi_bar_loop(phi, x, [1, 2, 4, 8])
+        got = phi_bar_function(phi, n_max=8).value_ext(x)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(phi_bar(phi, x, n_max=8), want,
+                                   rtol=1e-12, atol=0.0)
+
+    def test_bounded_support_has_infinite_branches(self):
+        phi = make_bounded_support(1.0, 1.0)
+        x = np.array([[0.5], [1.5], [3.0], [7.9]])
+        ns = [1, 2, 4, 8, 16, 32, 64]
+        branches = np.array([n * phi.value_ext(x / math.sqrt(n)) for n in ns])
+        # x = 1.5: branches n <= 2 leave the support, n >= 4 stay finite
+        assert np.isinf(branches[:2, 1]).all()
+        assert np.isfinite(branches[2:, 1]).all()
+        assert np.array_equal(phi_bar(phi, x, n_max=64),
+                              _phi_bar_loop(phi, x, ns))

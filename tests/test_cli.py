@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -131,6 +132,26 @@ class TestVerifySuite:
         records, status = run(cfg)
         assert status == 0
         assert all(r.outputs["verdict"] == "skip" for r in records)
+
+    def test_wall_time_per_case(self, tmp_path):
+        suite = self._suite()
+        second = {**suite["cases"][0], "name": "gq_big", "n": 16000,
+                  "reps": 16000}
+        payload = {**suite, "cases": suite["cases"] + [second]}
+        out = tmp_path / "v.csv"
+        t0 = time.perf_counter()
+        records, _ = run(ExperimentConfig.from_dict({**payload,
+                                                     "out": str(out)}))
+        total = time.perf_counter() - t0
+        times = {}
+        for r in records:
+            times.setdefault(r.inputs["case"], set()).add(r.wall_time)
+        assert sorted(times) == ["gq", "gq_big"]
+        assert all(len(v) == 1 and min(v) > 0 for v in times.values())
+        (t_small,), (t_big,) = times["gq"], times["gq_big"]
+        assert t_small != t_big
+        assert t_small + t_big <= total
+        assert "wall_time" not in out.read_text()   # timings stay out of CSV
 
     def test_sum_case(self):
         cfg = ExperimentConfig.from_dict({

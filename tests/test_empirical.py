@@ -10,6 +10,7 @@ from exptail.empirical import (CenteredCustom, Gaussian, RademacherScaled,
                                min_coordinate_tail, natural_function, sample,
                                sample_sum, tail_function, vector_moment)
 from exptail.errors import ParameterError
+from exptail.vectors import log_cosh
 from exptail.young import check_absolutely_even
 
 N_BIG = 100_000
@@ -293,3 +294,66 @@ class TestKramerGate:
         s = sample(SymmetricWeibull(0.5, 1.0, 1), 500, seed=2).scaled(2.0)
         with pytest.raises(ParameterError):
             natural_function(s)
+
+
+def _oracle_logcosh_expectation(a, t, logw):
+    """The former log_cosh-based kernel, kept as the reference."""
+    z = log_cosh(a[:, None] * t[None, :]) + logw[None, :]
+    m = z.max(axis=1, keepdims=True)
+    return m[:, 0] + np.log(np.sum(np.exp(z - m), axis=1))
+
+
+def _oracle_weibull_mgf(p, scale, lam, lam_max=64.0, t_points=8001):
+    """Reference log-MGF on the quadrature grid of SymmetricWeibull.mgf_log."""
+    a_cap = lam_max * scale
+    t_star = (a_cap / p) ** (1.0 / (p - 1.0)) if p > 1 else a_cap
+    t = np.linspace(1e-9, max(60.0, 4.0 * t_star), t_points)
+    logw = math.log(p) + (p - 1.0) * np.log(t) - t**p
+    m = np.max(logw)
+    logw -= m + math.log(np.sum(np.exp(logw - m)))
+    a = np.abs(np.atleast_2d(lam)) * scale
+    vals = _oracle_logcosh_expectation(a.ravel(), t, logw)
+    return vals.reshape(a.shape).sum(axis=-1)
+
+
+class TestWeibullQuadrature:
+    @pytest.mark.parametrize("p, scale", [(1.0, 1.0), (1.5, 0.2), (4.0, 1.0)])
+    def test_zero_is_exact(self, p, scale):
+        f = SymmetricWeibull(p, scale, 1).mgf_log()
+        assert f(np.zeros((1, 1)))[0] == 0.0
+
+    @pytest.mark.parametrize("p, scale", [(1.0, 1.0), (1.5, 0.2), (4.0, 1.0)])
+    def test_matches_log_cosh_kernel(self, p, scale):
+        f = SymmetricWeibull(p, scale, 1).mgf_log(lam_max=64.0)
+        lam = np.concatenate([np.linspace(0.0, 64.0, 257),
+                              [-64.0, -3.0, 1e-12]])[:, None]
+        new, old = f(lam), _oracle_weibull_mgf(p, scale, lam)
+        assert np.all(np.abs(new - old) <= 1e-12 * (1.0 + np.abs(old)))
+
+    def test_two_coordinates_in_one_call(self):
+        f = SymmetricWeibull(1.5, 0.2, 2).mgf_log(lam_max=64.0)
+        lam = np.random.default_rng(3).uniform(-64.0, 64.0, (300, 2))
+        lam[0] = 0.0
+        new, old = f(lam), _oracle_weibull_mgf(1.5, 0.2, lam)
+        assert new.shape == (300,)
+        assert np.all(np.abs(new - old) <= 1e-12 * (1.0 + np.abs(old)))
+        # stacked leading axes give the same values as one row at a time
+        stacked = f(lam.reshape(3, 100, 2))
+        rows = np.array([f(row[None, :])[0] for row in lam])
+        assert np.array_equal(stacked.ravel(), rows)
+
+
+class TestUniformBoxMgf:
+    def test_exp_floor_keeps_every_bit(self):
+        hw = np.array([2.0])
+        rng = np.random.default_rng(8)
+        lam = np.concatenate([rng.uniform(-2e3, 2e3, 500_000),
+                              rng.uniform(-1e300, 1e300, 499_996),
+                              [0.0, 1e-5, 1e300, -1e300]])[:, None]
+        a = np.abs(lam * hw)
+        with np.errstate(all="ignore"):   # a * a overflows in the unused branch
+            big = a + np.log1p(-np.exp(-2.0 * np.maximum(a, 1e-300))) \
+                - np.log(2.0 * np.maximum(a, 1e-300))
+            unclamped = np.sum(np.where(a < 1e-4, a * a / 6.0, big), axis=-1)
+            clamped = UniformBox(hw).mgf_log()(lam)
+        assert np.array_equal(clamped, unclamped)

@@ -240,3 +240,14 @@ class TestLogCosh:
     def test_no_overflow(self):
         big = np.array([-1e4, 1e4])
         assert np.allclose(log_cosh(big), 1e4 - math.log(2.0), rtol=1e-15)
+
+    def test_exp_floor_keeps_every_bit(self):
+        # the clamp only skips numpy's slow path for underflowing exp
+        rng = np.random.default_rng(5)
+        x = np.concatenate([rng.uniform(-1e3, 1e3, 500_000),
+                            rng.uniform(-1e300, 1e300, 499_994),
+                            [0.0, -0.0, np.inf, -np.inf, 1e300, -1e300]])
+        a = np.abs(x)
+        with np.errstate(under="ignore"):
+            unclamped = a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
+        assert np.array_equal(log_cosh(x), unclamped)
