@@ -62,20 +62,20 @@ def mixed_forward_difference(f, pts: np.ndarray, k: np.ndarray,
 
 
 def check_absolutely_monotonic(f, box: Sequence, k_max: int = 4,
-                               grid_points: int = 9,
-                               h: Optional[np.ndarray] = None) -> Verdict:
+                               grid_points: int = 9) -> Verdict:
     """All mixed forward differences of order |k| <= k_max nonnegative?
 
-    The truncation error of each difference is estimated by halving the
-    step; a value below -(10 x error estimate) is a violation, a negative
-    value inside that tolerance renders the point inconclusive.
+    The step is 1/64 of the box width per axis. The truncation error of
+    each difference is estimated by halving the step; a value below
+    -(10 x error estimate) is a violation, a negative value inside that
+    tolerance renders the point inconclusive.
     """
     box = [(float(lo), float(hi)) for lo, hi in box]
     d = len(box)
     widths = np.array([hi - lo for lo, hi in box])
     if np.any(widths <= 0):
         raise ParameterError("box must have positive extent per axis")
-    h = np.asarray(h, dtype=float) if h is not None else widths / 64.0
+    h = widths / 64.0
     pts = box_grid(*np.transpose(box), grid_points)
     scale = float(np.max(np.abs(np.asarray(f(pts), dtype=float)))) or 1.0
     atol = 1e-12 * scale
@@ -108,8 +108,7 @@ def check_absolutely_monotonic(f, box: Sequence, k_max: int = 4,
 
 
 def check_octant_monotonic(f, eps, box: Sequence, k_max: int = 4,
-                           grid_points: int = 9,
-                           h: Optional[np.ndarray] = None) -> Verdict:
+                           grid_points: int = 9) -> Verdict:
     """Signs of mixed partials match eps^k on the box?
 
     Reduces exactly to absolute monotonicity of lam -> f(eps (x) lam) on
@@ -129,7 +128,7 @@ def check_octant_monotonic(f, eps, box: Sequence, k_max: int = 4,
         return f(np.atleast_2d(pts) * eps)
 
     verdict = check_absolutely_monotonic(g, flipped_box, k_max=k_max,
-                                         grid_points=grid_points, h=h)
+                                         grid_points=grid_points)
     if verdict.witness is not None:
         wit = dict(verdict.witness)
         wit["point"] = wit["point"] * eps
@@ -140,11 +139,11 @@ def check_octant_monotonic(f, eps, box: Sequence, k_max: int = 4,
 
 
 def decomposition_check(f_parts: Sequence, target, box: Sequence,
-                        k_max: int = 3, grid_points: int = 9,
-                        sum_tol: float = 1e-8,
+                        k_max: int = 3, *, sum_tol: float = 1e-8,
                         origin_tol: float = 1e-10) -> Verdict:
     """Does sum over parts of F_eps recover the target, with each part
     monotonic for its own octant and the part masses at 0 summing to 1?
+    Every check runs on the 9-point-per-axis grid of the box.
 
     ``f_parts`` is a sequence of (sign_vector, evaluable) pairs covering
     each octant at most once.
@@ -157,7 +156,7 @@ def decomposition_check(f_parts: Sequence, target, box: Sequence,
             raise ParameterError(f"duplicate octant {key}")
         seen.add(key)
 
-    pts = box_grid(*np.transpose(box), grid_points)
+    pts = box_grid(*np.transpose(box), 9)
     total = np.zeros(pts.shape[0])
     at_zero = 0.0
     zero = np.zeros((1, d))
@@ -179,8 +178,7 @@ def decomposition_check(f_parts: Sequence, target, box: Sequence,
 
     any_inconclusive = False
     for eps, part in f_parts:
-        sub = check_octant_monotonic(part, eps, box, k_max=k_max,
-                                     grid_points=grid_points)
+        sub = check_octant_monotonic(part, eps, box, k_max=k_max)
         if sub.status == VIOLATED:
             wit = dict(sub.witness or {})
             wit["part_eps"] = np.asarray(eps, dtype=float)

@@ -173,6 +173,15 @@ def _x_points(spec, d: int) -> np.ndarray:
     return pts
 
 
+def _phi_and_dist(options: dict) -> tuple:
+    """The parsed ``phi`` and ``dist`` specs of a config or suite case."""
+    phi = young_from_spec(_need(options, "phi"))
+    dist = distribution_from_spec(_need(options, "dist"))
+    if dist.dimension != phi.dimension:
+        raise ConfigError("dist", "dimension mismatch with phi")
+    return phi, dist
+
+
 def _fit_norm(dist, phi, n: int, seed: int):
     fit = sample(dist, n, seed)
     nat = natural_function(fit)
@@ -199,10 +208,7 @@ def _run_conjugate(cfg: ExperimentConfig) -> tuple:
 
 
 def _run_norm(cfg: ExperimentConfig) -> tuple:
-    phi = young_from_spec(_need(cfg.options, "phi"))
-    dist = distribution_from_spec(_need(cfg.options, "dist"))
-    if dist.dimension != phi.dimension:
-        raise ConfigError("dist", "dimension mismatch with phi")
+    phi, dist = _phi_and_dist(cfg.options)
     n = int(cfg.options.get("n", 20000))
     space = cfg.options.get("space", "all")
     if space not in ("bphi", "gls", "orlicz", "all"):
@@ -272,12 +278,11 @@ def _certify(tb, tail_sample, bound_scale: float, floor: float) -> dict:
 
 
 def _tail_rows(experiment, case_name, phi, dist, x_pts, n, reps, seed,
-               bound_scale, evaluator=None):
+               bound_scale):
     """Fit a norm, bound each x, certify against a fresh empirical tail."""
     est = None if phi.y_membership != "full" else _fit_norm(dist, phi, n, seed)
     reason = _skip_reason(phi, est)
     tail_sample = sample(dist, reps, seed + _TAIL_SEED_OFFSET)
-    ev = evaluator or ConjugateEvaluator(phi)
     floor = 10.0 / reps
     records, failures = [], 0
     for x in x_pts:
@@ -285,7 +290,7 @@ def _tail_rows(experiment, case_name, phi, dist, x_pts, n, reps, seed,
         if reason is not None:
             records.append(_skip_row(experiment, inputs, seed, reason))
             continue
-        tb = chernov_bound(phi, est.value, x, evaluator=ev)
+        tb = chernov_bound(phi, est.value, x)
         outputs = _certify(tb, tail_sample, bound_scale, floor)
         failures += outputs["verdict"] == "fail"
         records.append(ResultRecord(
@@ -295,24 +300,10 @@ def _tail_rows(experiment, case_name, phi, dist, x_pts, n, reps, seed,
     return records, failures
 
 
-def _run_tailbound(cfg: ExperimentConfig) -> tuple:
-    phi = young_from_spec(_need(cfg.options, "phi"))
-    dist = distribution_from_spec(_need(cfg.options, "dist"))
-    if dist.dimension != phi.dimension:
-        raise ConfigError("dist", "dimension mismatch with phi")
-    x_pts = _x_points(_need(cfg.options, "x"), phi.dimension)
-    records, failures = _tail_rows(
-        "tailbound", cfg.options.get("name", "tailbound"), phi, dist, x_pts,
-        int(cfg.options.get("n", 20000)), int(cfg.options.get("reps", 20000)),
-        cfg.seed, float(cfg.options.get("bound_scale", 1.0)))
-    return records, (1 if failures else 0)
-
-
 def _sum_rows(experiment, case_name, phi, dist, x_pts, n_set, n, reps, seed,
               bound_scale):
     est = None if phi.y_membership != "full" else _fit_norm(dist, phi, n, seed)
     cert = check_lambda2(phi, trial_count=2000, seed=seed)
-    ev = ConjugateEvaluator(phi)
     floor = 10.0 / reps
     records, failures = [], 0
     for k, n_terms in enumerate(n_set):
@@ -327,7 +318,7 @@ def _sum_rows(experiment, case_name, phi, dist, x_pts, n_set, n, reps, seed,
         sigma = sum_norm_pythagoras(
             SumSpec(tuple([est.value] * int(n_terms)), int(n_terms)), phi, cert)
         for x in x_pts:
-            tb = chernov_bound(phi, sigma, x, evaluator=ev)
+            tb = chernov_bound(phi, sigma, x)
             outputs = _certify(tb, sums, bound_scale, floor)
             failures += outputs["verdict"] == "fail"
             records.append(ResultRecord(
@@ -336,19 +327,45 @@ def _sum_rows(experiment, case_name, phi, dist, x_pts, n_set, n, reps, seed,
     return records, failures
 
 
-def _run_sumbound(cfg: ExperimentConfig) -> tuple:
-    phi = young_from_spec(_need(cfg.options, "phi"))
-    dist = distribution_from_spec(_need(cfg.options, "dist"))
-    if dist.dimension != phi.dimension:
-        raise ConfigError("dist", "dimension mismatch with phi")
-    x_pts = _x_points(_need(cfg.options, "x"), phi.dimension)
-    n_set = [int(v) for v in cfg.options.get("n_set", [1, 4, 16])]
-    records, failures = _sum_rows(
-        "sumbound", cfg.options.get("name", "sumbound"), phi, dist, x_pts,
-        n_set, int(cfg.options.get("n", 20000)),
-        int(cfg.options.get("reps", 20000)), cfg.seed,
-        float(cfg.options.get("bound_scale", 1.0)))
-    return records, (1 if failures else 0)
+def _case_rows(experiment, case: dict, name, seed: int) -> tuple:
+    """Certified rows and failure count of one tail or sum case."""
+    phi, dist = _phi_and_dist(case)
+    x_pts = _x_points(case.get("x", {"start": 0.5, "stop": 2.0,
+                                     "step": 0.5}), phi.dimension)
+    n = int(case.get("n", 20000))
+    reps = int(case.get("reps", 20000))
+    scale = float(case.get("bound_scale", 1.0))
+    kind = case.get("kind", "tail")
+    if kind == "tail":
+        return _tail_rows(experiment, name, phi, dist, x_pts, n, reps, seed,
+                          scale)
+    if kind == "sum":
+        n_set = [int(v) for v in case.get("n_set", [1, 4, 16])]
+        return _sum_rows(experiment, name, phi, dist, x_pts, n_set, n, reps,
+                         seed, scale)
+    raise ConfigError("kind", f"unknown kind {kind!r}")
+
+
+def _run_case(cfg: ExperimentConfig, idx: int, case: dict) -> tuple:
+    """Run tail or sum case ``idx`` of a suite on seed ``cfg.seed + 7919 idx``;
+    its records carry its own wall time."""
+    t0 = time.perf_counter()
+    rows, fails = _case_rows(cfg.experiment, case,
+                             case.get("name", f"case{idx}"),
+                             cfg.seed + 7919 * idx)
+    elapsed = time.perf_counter() - t0
+    for r in rows:
+        r.wall_time = elapsed
+    return rows, fails
+
+
+def _run_single_case(cfg: ExperimentConfig) -> tuple:
+    """tailbound and sumbound: the config is case 0 of a suite, x required."""
+    _need(cfg.options, "x")
+    kind = "tail" if cfg.experiment == "tailbound" else "sum"
+    rows, fails = _run_case(
+        cfg, 0, {"name": cfg.experiment, **cfg.options, "kind": kind})
+    return rows, (1 if fails else 0)
 
 
 def _run_characterize(cfg: ExperimentConfig) -> tuple:
@@ -381,10 +398,7 @@ def _run_characterize(cfg: ExperimentConfig) -> tuple:
 
 
 def _run_equivalence(cfg: ExperimentConfig) -> tuple:
-    phi = young_from_spec(_need(cfg.options, "phi"))
-    dist = distribution_from_spec(_need(cfg.options, "dist"))
-    if dist.dimension != phi.dimension:
-        raise ConfigError("dist", "dimension mismatch with phi")
+    phi, dist = _phi_and_dist(cfg.options)
     n = int(cfg.options.get("n", 20000))
     s = sample(dist, n, cfg.seed)
     rep = equivalence_report(s, phi)
@@ -404,38 +418,15 @@ def _run_verify_suite(cfg: ExperimentConfig) -> tuple:
     cases = _need(cfg.options, "cases")
     if not isinstance(cases, list) or not cases:
         raise ConfigError("cases", "must be a nonempty list")
-    records, failures = [], 0
     for idx, case in enumerate(cases):
-        t0 = time.perf_counter()
         if not isinstance(case, dict):
             raise ConfigError(f"cases[{idx}]", "each case must be an object")
-        name = case.get("name", f"case{idx}")
-        kind = case.get("kind", "tail")
+    records, failures = [], 0
+    for idx, case in enumerate(cases):
         try:
-            phi = young_from_spec(_need(case, "phi"))
-            dist = distribution_from_spec(_need(case, "dist"))
+            rows, fails = _run_case(cfg, idx, case)
         except ConfigError as exc:
-            raise ConfigError(f"cases[{idx}].{exc.key}", str(exc)) from None
-        if dist.dimension != phi.dimension:
-            raise ConfigError(f"cases[{idx}]", "dimension mismatch")
-        x_pts = _x_points(case.get("x", {"start": 0.5, "stop": 2.0,
-                                         "step": 0.5}), phi.dimension)
-        n = int(case.get("n", 20000))
-        reps = int(case.get("reps", 20000))
-        scale = float(case.get("bound_scale", 1.0))
-        seed = cfg.seed + 7919 * idx
-        if kind == "tail":
-            rows, fails = _tail_rows("verify-suite", name, phi, dist, x_pts,
-                                     n, reps, seed, scale)
-        elif kind == "sum":
-            n_set = [int(v) for v in case.get("n_set", [1, 4, 16])]
-            rows, fails = _sum_rows("verify-suite", name, phi, dist, x_pts,
-                                    n_set, n, reps, seed, scale)
-        else:
-            raise ConfigError(f"cases[{idx}].kind", f"unknown kind {kind!r}")
-        elapsed = time.perf_counter() - t0
-        for r in rows:
-            r.wall_time = elapsed
+            raise ConfigError(f"cases[{idx}]." + exc.key, exc.message) from None
         records.extend(rows)
         failures += fails
     return records, (1 if failures else 0)
@@ -444,8 +435,8 @@ def _run_verify_suite(cfg: ExperimentConfig) -> tuple:
 _HANDLERS = {
     "conjugate": _run_conjugate,
     "norm": _run_norm,
-    "tailbound": _run_tailbound,
-    "sumbound": _run_sumbound,
+    "tailbound": _run_single_case,
+    "sumbound": _run_single_case,
     "characterize": _run_characterize,
     "equivalence": _run_equivalence,
     "verify-suite": _run_verify_suite,
@@ -456,7 +447,8 @@ def run(cfg: ExperimentConfig):
     """Execute one experiment; returns (records, exit_status).
 
     A record's ``wall_time`` is the time of its own case where the
-    experiment has cases (verify-suite), else the time of the whole run.
+    experiment runs cases (tailbound, sumbound, verify-suite), else the
+    time of the whole run.
     """
     t0 = time.perf_counter()
     records, status = _HANDLERS[cfg.experiment](cfg)

@@ -20,6 +20,10 @@ from .young import YoungFunction
 
 _GRID_RES = {1: 129, 2: 65, 3: 33}
 _ZOOM_RES = {1: 17, 2: 9, 3: 7}
+#: Doublings of the search box before a still-growing row counts as diverged.
+_MAX_EXPANSIONS = 60
+#: Lower edge of the log-reparameterized search box (e^-40 is about 4e-18).
+_MU_LO = -40.0
 
 
 @dataclass(frozen=True)
@@ -50,11 +54,12 @@ class ConjugateBatch:
                               float(self.slack[i]), bool(self.diverged[i]), ray)
 
 
-def _chunked_scores(Y, X, phiX, limit: int = 4_000_000):
-    """Per-row argmax of Y X^T - phi(X), chunking the row dimension."""
+def _chunked_scores(Y, X, phiX):
+    """Per-row argmax of Y X^T - phi(X), chunking the row dimension so that
+    a chunk's score block holds at most 4M entries."""
     m = Y.shape[0]
     n = X.shape[0]
-    step = max(1, limit // max(n, 1))
+    step = max(1, 4_000_000 // max(n, 1))
     best_val = np.empty(m)
     best_idx = np.empty(m, dtype=np.int64)
     for lo in range(0, m, step):
@@ -67,25 +72,16 @@ def _chunked_scores(Y, X, phiX, limit: int = 4_000_000):
 
 
 class ConjugateEvaluator:
-    """Reusable conjugation machine for one source function.
+    """Conjugation of one source function; it holds only ``phi``.
 
-    Parameters mirror the maximizer settings: an optional fixed search box
-    (per-axis half-widths inside the support), grid resolution, the number
-    of zoom passes around the incumbent, and the ascent tolerance.
+    The settings are fixed: a grid of ``_GRID_RES`` points per axis over the
+    support (or an adaptively doubled box when the support is unbounded),
+    two zoom passes around the incumbent, then at most 240 ascent steps
+    down to a relative gradient of 1e-9.
     """
 
-    def __init__(self, phi: YoungFunction, search_box=None, grid_points=None,
-                 refine_passes: int = 2, tol: float = 1e-9,
-                 max_ascent_iter: int = 240, max_expansions: int = 60):
+    def __init__(self, phi: YoungFunction):
         self.phi = phi
-        d = phi.dimension
-        self.search_box = None if search_box is None else np.asarray(
-            search_box, dtype=float)
-        self.grid_points = grid_points or _GRID_RES.get(d, 9)
-        self.refine_passes = refine_passes
-        self.tol = tol
-        self.max_ascent_iter = max_ascent_iter
-        self.max_expansions = max_expansions
 
     # -- public API --------------------------------------------------------
 
@@ -112,8 +108,6 @@ class ConjugateEvaluator:
     # -- internals ----------------------------------------------------------
 
     def _box_half_widths(self):
-        if self.search_box is not None:
-            return self.search_box
         sup = self.phi.support
         if sup.kind == "ball":
             return np.full(self.phi.dimension, sup.radius * (1 - 1e-12))
@@ -140,7 +134,7 @@ class ConjugateEvaluator:
     def _grid_stage(self, Y):
         m, d = Y.shape
         fixed = self._box_half_widths()
-        res = self.grid_points
+        res = _GRID_RES.get(d, 9)
         best_val = np.zeros(m)          # x = 0 is always a candidate
         best_x = np.zeros((m, d))
         diverged = np.zeros(m, dtype=bool)
@@ -170,10 +164,10 @@ class ConjugateEvaluator:
             active = on_edge & grew
             prev_val = best_val.copy()
             n_exp += 1
-            if not np.any(active) or n_exp >= self.max_expansions:
+            if not np.any(active) or n_exp >= _MAX_EXPANSIONS:
                 break
             h *= 2.0
-        if n_exp >= self.max_expansions:
+        if n_exp >= _MAX_EXPANSIONS:
             diverged = active.copy()
         cell = np.full(m, h * 2.0 / (res - 1))
         return best_x, best_val, cell, diverged
@@ -184,7 +178,7 @@ class ConjugateEvaluator:
         if Y.shape[0] * res**d > 2_000_000:
             return x, val, cell
         offsets = box_grid(-1.0, np.ones(d), res)    # (res^d, d) in [-1, 1]
-        for _ in range(self.refine_passes):
+        for _ in range(2):
             w = 2.0 * cell
             cand = x[:, None, :] + offsets[None, :, :] * w[:, None, None]
             flat = self._project(cand.reshape(-1, d))
@@ -222,7 +216,7 @@ class ConjugateEvaluator:
         x_prev, g_prev = x, g
         x = self._clip_box(x + alpha[:, None] * g, box)
         scale = 1.0 + np.max(np.abs(Y), axis=1)
-        for _ in range(self.max_ascent_iter):
+        for _ in range(240):
             g = Y - self.phi.grad(x)
             v = self._objective(Y, x)
             better = v > best_v
@@ -238,7 +232,7 @@ class ConjugateEvaluator:
             alpha = np.clip(np.nan_to_num(alpha, nan=1e-6), 1e-14, 1e14)
             x_prev, g_prev = x, g
             x = self._clip_box(x + alpha[:, None] * g, box)
-            if np.max(np.linalg.norm(g, axis=1) / scale) < self.tol and \
+            if np.max(np.linalg.norm(g, axis=1) / scale) < 1e-9 and \
                np.max(np.abs(x - x_prev)) < 1e-13 * (1.0 + np.max(np.abs(x))):
                 break
         v = self._objective(Y, x)
@@ -282,9 +276,9 @@ class ConjugateEvaluator:
         return x, v, slack
 
 
-def conjugate(phi: YoungFunction, y, **settings) -> ConjugateValue:
-    """One-shot phi*(y); builds a throwaway evaluator with ``settings``."""
-    return ConjugateEvaluator(phi, **settings).value(y)
+def conjugate(phi: YoungFunction, y) -> ConjugateValue:
+    """One-shot phi*(y) through a throwaway evaluator."""
+    return ConjugateEvaluator(phi).value(y)
 
 
 def _fd_grad(phi: YoungFunction, pts: np.ndarray) -> np.ndarray:
@@ -299,16 +293,15 @@ def _fd_grad(phi: YoungFunction, pts: np.ndarray) -> np.ndarray:
     return g
 
 
-def biconjugate_residual(phi: YoungFunction, probes, evaluator=None,
-                         outer_iters: int = 60) -> float:
+def biconjugate_residual(phi: YoungFunction, probes) -> float:
     """max over probes of |phi**(lam) - phi(lam)|.
 
     Conjugates twice: the outer ascent over y uses the identity
     grad phi*(y) = argmax x(y), warm-starting the inner solve at each step.
-    A small residual certifies that the evaluator settings resolve this
-    source function (Fenchel-Moreau: phi** = phi for closed convex phi).
+    A small residual certifies that the evaluator resolves this source
+    function (Fenchel-Moreau: phi** = phi for closed convex phi).
     """
-    ev = evaluator or ConjugateEvaluator(phi)
+    ev = ConjugateEvaluator(phi)
     lam = np.atleast_2d(np.asarray(probes, dtype=float))
     target = phi.value(lam)
     y = phi.grad(lam).copy() if phi.has_gradient else _fd_grad(phi, lam)
@@ -321,7 +314,7 @@ def biconjugate_residual(phi: YoungFunction, probes, evaluator=None,
     alpha = 1e-3 / (1.0 + np.linalg.norm(g, axis=1))
     y_prev, g_prev = y, g
     y = y + alpha[:, None] * g
-    for _ in range(outer_iters):
+    for _ in range(60):
         inner = ev.values(y, x0=x_warm)
         x_warm = inner.argmax
         h_val = np.einsum("ij,ij->i", lam, y) - inner.values
@@ -383,14 +376,14 @@ def ray_inverse(phi: YoungFunction, direction, level: float) -> float:
     return 0.5 * (t_lo + t_hi)
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 90):
+def _golden_max(f, lo: float, hi: float):
     """Golden-section maximization of a scalar function on [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d_ = a + invphi * (b - a)
     fc, fd = f(c), f(d_)
-    for _ in range(iters):
+    for _ in range(90):
         if fc >= fd:
             b, d_, fd = d_, c, fc
             c = b - invphi * (b - a)
@@ -420,7 +413,7 @@ def log_reparam(phi: YoungFunction):
     return f
 
 
-def log_reparam_conjugate(phi: YoungFunction, r, mu_lo: float = -40.0) -> float:
+def log_reparam_conjugate(phi: YoungFunction, r) -> float:
     """Conjugate of the log-reparameterized source: sup_mu ((r, mu) - phi(e^mu)).
 
     ``r`` is a positive scalar for one-dimensional sources or a length-d
@@ -453,21 +446,21 @@ def log_reparam_conjugate(phi: YoungFunction, r, mu_lo: float = -40.0) -> float:
     res = 2001 if d == 1 else (41 if d == 2 else 13)
     best_v, best_mu = -np.inf, None
     for _ in range(200):
-        pts = box_grid(mu_lo, mu_hi, res)
+        pts = box_grid(_MU_LO, mu_hi, res)
         vals = obj(pts)
         i = int(np.argmax(vals))
         if vals[i] > best_v:
             best_v, best_mu = float(vals[i]), pts[i].copy()
         if not grow:
             break
-        on_edge = np.any(best_mu >= mu_hi - 1.5 * (mu_hi - mu_lo) / (res - 1))
+        on_edge = np.any(best_mu >= mu_hi - 1.5 * (mu_hi - _MU_LO) / (res - 1))
         if not on_edge:
             break
         if np.any(mu_hi > 400.0):
             return math.inf
         mu_hi = mu_hi + 3.0
     # zoom + golden polish
-    cell = np.array([(mu_hi[j] - mu_lo) / (res - 1) for j in range(d)])
+    cell = (mu_hi - _MU_LO) / (res - 1)
     mu = best_mu.copy()
     for _ in range(3):
         for j in range(d):

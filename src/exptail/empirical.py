@@ -87,11 +87,11 @@ class SymmetricWeibull:
     def coordinate_variance(self) -> float:
         return self.scale**2 * math.gamma(1.0 + 2.0 / self.p)
 
-    def mgf_log(self, lam_max: float = 64.0, t_points: int = 8001) -> Callable:
+    def mgf_log(self, lam_max: float = 64.0) -> Callable:
         """Quadrature log-MGF (per coordinate, summed); needs p >= 1.
 
-        The quadrature grid is fixed at closure creation (sized for
-        coordinates |lam| <= lam_max) and its weights are normalized to a
+        The quadrature grid of 8001 nodes is fixed at closure creation (sized
+        for coordinates |lam| <= lam_max) and its weights are normalized to a
         probability measure, so repeated calls see one consistent function.
         Each coordinate's term has the quadrature's own rounding at 0
         subtracted, so f(0) = 0 exactly.
@@ -103,7 +103,7 @@ class SymmetricWeibull:
         # integrand of E cosh(a M) peaks near t* = (a/p)^(1/(p-1))
         t_star = (max(a_cap, 1e-9) / p) ** (1.0 / (p - 1.0)) if p > 1 else a_cap
         t_hi = max(60.0, 4.0 * t_star)
-        t = np.linspace(1e-9, t_hi, t_points)
+        t = np.linspace(1e-9, t_hi, 8001)
         logw = math.log(p) + (p - 1.0) * np.log(t) - t**p
         logw -= _logsumexp_1d(logw)      # normalize the discrete measure
         at_zero = _logcosh_expectation(np.zeros(1), t, logw)[0]
@@ -200,9 +200,10 @@ class UniformBox:
         def f(lam):
             lam = np.atleast_2d(np.asarray(lam, dtype=float))
             a = np.abs(lam * hw)
-            # log(sinh a / a), stable at 0 and for large a
+            # log(sinh a / a), stable at 0 and for large a; the discarded
+            # large-a branch is clamped at the threshold so a = 0 stays finite
             small = a < 1e-4
-            a_pos = np.maximum(a, 1e-300)
+            a_pos = np.maximum(a, 1e-4)
             big = a + np.log1p(-np.exp(np.maximum(-2.0 * a_pos, EXP_FLOOR))) \
                 - np.log(2.0 * a_pos)
             return np.sum(np.where(small, a * a / 6.0, big), axis=-1)
@@ -369,19 +370,14 @@ class EmpiricalNaturalFunction:
 
     Samples are re-centered by their empirical mean, making evaluate(0) = 0
     exact and the value nonnegative everywhere (Jensen). A value is trusted
-    when the largest single-sample term carries at most ``trust_fraction``
-    of the exponential mass for the sign pattern achieving the max.
+    when the largest single-sample term carries at most a tenth of the
+    exponential mass for the sign pattern achieving the max.
     """
 
-    def __init__(self, source: SampleSet, recenter: bool = True,
-                 trust_fraction: float = 0.1):
+    def __init__(self, source: SampleSet):
         self.source = source
-        data = source.data
-        if recenter:
-            data = data - data.mean(axis=0, keepdims=True)
-        self._data = data
+        self._data = source.data - source.data.mean(axis=0, keepdims=True)
         self._signs = enumerate_sign_vectors(source.dimension)
-        self.trust_fraction = trust_fraction
         self.dimension = source.dimension
 
     def evaluate(self, lam):
@@ -438,30 +434,30 @@ class EmpiricalNaturalFunction:
                 bt[sel] = frac[sel]
                 best[lo:hi] = b
                 best_top[lo:hi] = bt
-        trusted = best_top <= self.trust_fraction
+        trusted = best_top <= 0.1
         np.maximum(best, 0.0, out=best)   # Jensen floor for centered samples
         return best, trusted
 
-    def trust_radius(self, direction, r_max: float = 64.0,
-                     n_scan: int = 48) -> float:
-        """Largest prefix of log-spaced radii along ``direction`` that stays trusted."""
+    def trust_radius(self, direction) -> float:
+        """Largest of 48 log-spaced radii in [0.01, 64] along ``direction``
+        below which every radius is trusted (the smallest when none is)."""
         u = np.asarray(direction, dtype=float)
         u = u / np.linalg.norm(u)
-        radii = np.geomspace(1e-2, r_max, n_scan)
+        radii = np.geomspace(1e-2, 64.0, 48)
         _, trusted = self.evaluate_with_trust(radii[:, None] * u[None, :])
         if not trusted[0]:
             return radii[0]
-        k = int(np.argmin(trusted)) if not np.all(trusted) else n_scan - 1
-        return float(radii[max(k - 1, 0)] if not np.all(trusted) else radii[-1])
+        if np.all(trusted):
+            return float(radii[-1])
+        return float(radii[int(np.argmin(trusted)) - 1])
 
     def tabulated_young(self, lam_max: Optional[float] = None,
-                        resolution: int = 1025,
-                        hessian: Optional[np.ndarray] = None) -> YoungFunction:
+                        resolution: int = 1025) -> YoungFunction:
         """One-dimensional tabulation as a YoungFunction on (-lam_max, lam_max).
 
         Linear interpolation of the empirical values along the positive ray
-        (even by construction). The origin Hessian defaults to the sample
-        variance, which downstream limit terms rely on.
+        (even by construction). The origin Hessian is the sample variance,
+        which downstream limit terms rely on.
         """
         if self.dimension != 1:
             raise ParameterError("tabulation implemented for d = 1")
@@ -471,8 +467,7 @@ class EmpiricalNaturalFunction:
         vals, _ = self.evaluate_with_trust(grid[:, None])
         vals = np.maximum(vals, 0.0)
         vals[0] = 0.0
-        if hessian is None:
-            hessian = np.atleast_2d(np.var(self._data, ddof=1))
+        hessian = np.atleast_2d(np.var(self._data, ddof=1))
 
         def ev(x):
             return np.interp(np.abs(np.asarray(x)[..., 0]), grid, vals)
@@ -482,8 +477,7 @@ class EmpiricalNaturalFunction:
                            params={"lam_max": lam_max, "n": self.source.n})
 
 
-def natural_function(s: SampleSet, recenter: bool = True,
-                     trust_fraction: float = 0.1) -> EmpiricalNaturalFunction:
+def natural_function(s: SampleSet) -> EmpiricalNaturalFunction:
     """Empirical natural function of a sample set.
 
     Laws failing Kramer's condition (weibull p < 1, or a custom law declared
@@ -493,5 +487,4 @@ def natural_function(s: SampleSet, recenter: bool = True,
         raise ParameterError(
             f"natural function undefined for {s.distribution_tag}: "
             "Kramer's condition fails")
-    return EmpiricalNaturalFunction(s, recenter=recenter,
-                                    trust_fraction=trust_fraction)
+    return EmpiricalNaturalFunction(s)

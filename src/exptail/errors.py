@@ -41,4 +41,5 @@ class ConfigError(ExptailError, ValueError):
 
     def __init__(self, key, message):
         self.key = key
+        self.message = message
         super().__init__(f"{key}: {message}")

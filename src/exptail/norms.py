@@ -19,6 +19,9 @@ from .errors import InsufficientProbesError, ParameterError
 from .vectors import bisect_monotone, double_until, sphere_directions
 from .young import YoungFunction
 
+#: Largest scale the Luxemburg bisection tries before reporting exceeds_cap.
+_LUX_C_MAX = 1e6
+
 
 @dataclass(frozen=True)
 class NormEstimate:
@@ -69,9 +72,9 @@ def _eval_mgf(mgf_log, pts: np.ndarray):
 
 
 def bphi_norm(mgf_log, phi: YoungFunction, plan: Optional[ProbePlan] = None,
-              rel_tol: float = 1e-4, tau_max: float = 1e6,
-              refine: bool = True) -> NormEstimate:
-    """Least tau with mgf_log(lam) <= phi(tau lam) over the probe plan.
+              rel_tol: float = 1e-4, tau_max: float = 1e6) -> NormEstimate:
+    """Least tau with mgf_log(lam) <= phi(tau lam) over the probe plan, then
+    over the plan plus eight extra probes around its binding constraint.
 
     ``mgf_log`` must already include the max over sign patterns (empirical
     natural functions do; analytic inputs are the caller's contract).
@@ -106,40 +109,37 @@ def bphi_norm(mgf_log, phi: YoungFunction, plan: Optional[ProbePlan] = None,
         return capped()
     value = bisect_monotone(ok, 0.0, hi, rel_tol)[1]
 
-    if refine:
-        # one pass of extra probes around the binding constraint
-        gap = vals - phi.value_ext(value * pts)
-        i = int(np.argmax(gap))
-        lam_star = pts[i]
-        extra = [f * lam_star for f in (0.85, 0.95, 1.05, 1.18)]
-        jitter = 0.05 * np.linalg.norm(lam_star)
-        for k in range(4):
-            delta = np.zeros(phi.dimension)
-            delta[k % phi.dimension] = jitter * (1 if k % 2 == 0 else -1)
-            extra.append(lam_star + delta)
-        extra = np.array(extra)
-        evals, etrust = _eval_mgf(mgf_log, extra)
-        ekeep = etrust & np.isfinite(evals)
-        n_discard += int(np.sum(~ekeep))
-        if np.any(ekeep):
-            pts = np.vstack([pts, extra[ekeep]])
-            vals = np.concatenate([vals, evals[ekeep]])
-            # a value that still holds comes back unchanged
-            hi = double_until(ok, value, tau_max)
-            if math.isinf(hi):
-                return capped()
-            value = bisect_monotone(ok, value, hi, rel_tol)[1]
+    gap = vals - phi.value_ext(value * pts)
+    lam_star = pts[int(np.argmax(gap))]
+    extra = [f * lam_star for f in (0.85, 0.95, 1.05, 1.18)]
+    jitter = 0.05 * np.linalg.norm(lam_star)
+    for k in range(4):
+        delta = np.zeros(phi.dimension)
+        delta[k % phi.dimension] = jitter * (1 if k % 2 == 0 else -1)
+        extra.append(lam_star + delta)
+    extra = np.array(extra)
+    evals, etrust = _eval_mgf(mgf_log, extra)
+    ekeep = etrust & np.isfinite(evals)
+    n_discard += int(np.sum(~ekeep))
+    if np.any(ekeep):
+        pts = np.vstack([pts, extra[ekeep]])
+        vals = np.concatenate([vals, evals[ekeep]])
+        # a value that still holds comes back unchanged
+        hi = double_until(ok, value, tau_max)
+        if math.isinf(hi):
+            return capped()
+        value = bisect_monotone(ok, value, hi, rel_tol)[1]
 
     rhs = phi.value_ext(value * pts)
     residual = float(np.max(vals - rhs))
     return NormEstimate(value, (value * (1 - rel_tol), value),
-                        plan.description + "+refine" * refine,
+                        plan.description + "+refine",
                         residual=residual, trust_flags=n_discard)
 
 
-def odot(a: float, b: float, phi: YoungFunction,
-         plan: Optional[ProbePlan] = None, rel_tol: float = 1e-6) -> float:
-    """inf{c : phi(c lam) >= phi(a lam) + phi(b lam) for all plan probes}.
+def odot(a: float, b: float, phi: YoungFunction) -> float:
+    """inf{c : phi(c lam) >= phi(a lam) + phi(b lam) for all default-plan
+    probes}, to a relative width of 1e-6.
 
     Convexity with phi(0) = 0 guarantees c = a + b always works, and
     monotonicity along rays forces c >= max(a, b); the bisection runs
@@ -151,8 +151,7 @@ def odot(a: float, b: float, phi: YoungFunction,
         return float(b)
     if b == 0.0:
         return float(a)
-    plan = plan or ray_probe_plan(phi.dimension)
-    pts = plan.points
+    pts = ray_probe_plan(phi.dimension).points
     if phi.support.bounded:
         # rescale rows so the widest scaled copy (a+b) pts stays inside
         lims = np.array([phi.support.ray_limit(v) for v in pts])
@@ -166,7 +165,7 @@ def odot(a: float, b: float, phi: YoungFunction,
     lo = max(a, b)
     if ok(lo):
         return float(lo)
-    return float(bisect_monotone(ok, lo, a + b, rel_tol)[1])
+    return float(bisect_monotone(ok, lo, a + b, 1e-6)[1])
 
 
 def gls_norm_1d(moments: Callable[[float], float], psi: Callable[[float], float],
@@ -224,10 +223,10 @@ def default_moment_grid(d: int) -> list:
     return out
 
 
-def gls_norm_vector(moments: Callable[[np.ndarray], float], phi: YoungFunction,
-                    r_grid: Optional[Sequence] = None) -> NormEstimate:
+def gls_norm_vector(moments: Callable[[np.ndarray], float],
+                    phi: YoungFunction) -> NormEstimate:
     """sup over the vector-order grid of |xi|_r / psi_Phi(r)."""
-    r_grid = r_grid if r_grid is not None else default_moment_grid(phi.dimension)
+    r_grid = default_moment_grid(phi.dimension)
     best, best_r = 0.0, None
     for r in r_grid:
         r = np.asarray(r, dtype=float).ravel()
@@ -235,7 +234,7 @@ def gls_norm_vector(moments: Callable[[np.ndarray], float], phi: YoungFunction,
         if ratio > best:
             best, best_r = ratio, r
     return NormEstimate(best, (best, best),
-                        f"r_grid({len(list(r_grid))} points)",
+                        f"r_grid({len(r_grid)} points)",
                         extras={"achieved_r": best_r})
 
 
@@ -246,9 +245,9 @@ class OrliczFunction:
     candidate, so the computed phi*(0) is exactly 0).
     """
 
-    def __init__(self, base: YoungFunction, evaluator=None):
+    def __init__(self, base: YoungFunction):
         self.base = base
-        self.evaluator = evaluator or ConjugateEvaluator(base)
+        self.evaluator = ConjugateEvaluator(base)
         self._n0 = math.exp(self.evaluator.value(np.zeros(base.dimension)).value)
 
     def values(self, U) -> np.ndarray:
@@ -261,9 +260,9 @@ class OrliczFunction:
         return float(self.values(np.atleast_2d(u))[0])
 
 
-def luxemburg_norm(s: SampleSet, N: OrliczFunction, rel_tol: float = 1e-4,
-                   c_max: float = 1e6, subsample: Optional[int] = None) -> NormEstimate:
-    """inf{c > 0 : (1/n) sum N(xi_i / c) <= 1} by bisection.
+def luxemburg_norm(s: SampleSet, N: OrliczFunction, rel_tol: float = 1e-4, *,
+                   subsample: Optional[int] = None) -> NormEstimate:
+    """inf{c > 0 : (1/n) sum N(xi_i / c) <= 1} by bisection, capped at 1e6.
 
     The predicate is monotone in c (N even, nondecreasing in |u|). An
     optional deterministic subsample caps the per-iteration conjugation
@@ -281,9 +280,9 @@ def luxemburg_norm(s: SampleSet, N: OrliczFunction, rel_tol: float = 1e-4,
         mean = float(np.mean(vals))
         return math.isfinite(mean) and mean <= 1.0
 
-    hi = double_until(ok, float(np.max(np.abs(data))) or 1.0, c_max)
+    hi = double_until(ok, float(np.max(np.abs(data))) or 1.0, _LUX_C_MAX)
     if math.isinf(hi):
-        return NormEstimate(math.inf, (c_max, math.inf), plan,
+        return NormEstimate(math.inf, (_LUX_C_MAX, math.inf), plan,
                             flags=("exceeds_cap",))
     lo = hi
     while ok(lo):
@@ -306,22 +305,20 @@ class EquivalenceReport:
     flags: tuple
 
 
-def equivalence_report(s: SampleSet, phi: YoungFunction,
-                       r_grid: Optional[Sequence] = None,
-                       plan: Optional[ProbePlan] = None,
-                       lux_subsample: int = 4000,
-                       band: tuple = (1.0 / 50.0, 50.0)) -> EquivalenceReport:
+def equivalence_report(s: SampleSet, phi: YoungFunction, *,
+                       plan: Optional[ProbePlan] = None) -> EquivalenceReport:
     """Joint norm table with plausibility-band flags.
 
-    Flags record cap hits, heavy probe discarding (suspected
-    non-membership), and any pairwise ratio leaving the band.
+    The Luxemburg norm uses the first 4000 samples. Flags record cap hits,
+    heavy probe discarding (suspected non-membership), and any pairwise
+    ratio leaving the band [1/50, 50].
     """
     from .empirical import natural_function, vector_moment  # cycle guard
 
     nat = natural_function(s)
     est_b = bphi_norm(nat, phi, plan=plan)
-    est_g = gls_norm_vector(lambda r: vector_moment(s, r), phi, r_grid=r_grid)
-    est_l = luxemburg_norm(s, OrliczFunction(phi), subsample=lux_subsample)
+    est_g = gls_norm_vector(lambda r: vector_moment(s, r), phi)
+    est_l = luxemburg_norm(s, OrliczFunction(phi), subsample=4000)
 
     flags = list(est_b.flags)
     plan_size = (plan or ray_probe_plan(phi.dimension)).points.shape[0]
@@ -335,7 +332,7 @@ def equivalence_report(s: SampleSet, phi: YoungFunction,
                 num, den = vals[a], vals[b]
                 ratio = num / den if den > 0 else math.inf
                 ratios[f"{a}/{b}"] = ratio
-                if math.isfinite(ratio) and not (band[0] <= ratio <= band[1]):
+                if math.isfinite(ratio) and not (1.0 / 50.0 <= ratio <= 50.0):
                     flags.append(f"ratio_outside_band({a}/{b})")
                 if not math.isfinite(ratio):
                     flags.append(f"ratio_undefined({a}/{b})")

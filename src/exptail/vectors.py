@@ -25,7 +25,7 @@ DIMENSION_CAP = 16
 EXP_FLOOR = -700.0
 
 
-def enumerate_sign_vectors(d: int, cap: int = DIMENSION_CAP) -> np.ndarray:
+def enumerate_sign_vectors(d: int) -> np.ndarray:
     """All 2^d sign vectors as a (2^d, d) array in binary-counting order.
 
     Bit j of the row index decides coordinate j (0 -> +1, 1 -> -1), least
@@ -33,8 +33,9 @@ def enumerate_sign_vectors(d: int, cap: int = DIMENSION_CAP) -> np.ndarray:
     """
     if not isinstance(d, (int, np.integer)) or isinstance(d, bool):
         raise DimensionCapError(f"dimension must be an integer, got {d!r}")
-    if not 1 <= d <= cap:
-        raise DimensionCapError(f"dimension must be in [1, {cap}], got {d}")
+    if not 1 <= d <= DIMENSION_CAP:
+        raise DimensionCapError(
+            f"dimension must be in [1, {DIMENSION_CAP}], got {d}")
     idx = np.arange(2**d, dtype=np.uint32)
     bits = (idx[:, None] >> np.arange(d, dtype=np.uint32)[None, :]) & 1
     return 1.0 - 2.0 * bits.astype(float)
@@ -58,13 +59,13 @@ def octant_contains(eps, x) -> bool:
     return bool(np.all(eps * x >= 0.0))
 
 
-def octants_containing(x, cap: int = DIMENSION_CAP) -> np.ndarray:
+def octants_containing(x) -> np.ndarray:
     """Rows of all sign vectors whose octant contains ``x``.
 
     A point with k zero coordinates lies in exactly 2^k octants.
     """
     x = np.asarray(x, dtype=float)
-    signs = enumerate_sign_vectors(x.shape[0], cap=cap)
+    signs = enumerate_sign_vectors(x.shape[0])
     mask = np.all(signs * x[None, :] >= 0.0, axis=1)
     return signs[mask]
 

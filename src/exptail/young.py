@@ -49,15 +49,14 @@ class SupportRegion:
     def bounded(self) -> bool:
         return self.kind != "full"
 
-    def contains(self, x, shrink: float = 1.0) -> np.ndarray:
+    def contains(self, x) -> np.ndarray:
         """Boolean mask over points of shape (..., d); the region is open."""
         x = np.asarray(x, dtype=float)
         if self.kind == "full":
             return np.ones(x.shape[:-1], dtype=bool)
         if self.kind == "ball":
-            return np.linalg.norm(x, axis=-1) < self.radius * shrink
-        hw = np.asarray(self.half_widths)
-        return np.all(np.abs(x) < hw * shrink, axis=-1)
+            return np.linalg.norm(x, axis=-1) < self.radius
+        return np.all(np.abs(x) < np.asarray(self.half_widths), axis=-1)
 
     def ray_limit(self, direction) -> float:
         """sup{t >= 0 : t * direction inside the region} (inf when full)."""
@@ -316,16 +315,16 @@ class CheckResult:
     plan: str = ""
 
 
-def check_lambda2(phi: YoungFunction, trial_count: int = 10_000,
-                  tolerance: float = 1e-9, seed: int = 0,
-                  a_range=(1e-2, 1e2)) -> CheckResult:
-    """Search for violations of phi(a x) + phi(b x) <= phi(sqrt(a^2+b^2) x).
+def check_lambda2(phi: YoungFunction, trial_count: int = 10_000, *,
+                  seed: int = 0) -> CheckResult:
+    """Search for violations of phi(a x) + phi(b x) <= phi(sqrt(a^2+b^2) x)
+    beyond a tolerance of 1e-9.
 
-    a, b are log-uniform over ``a_range``; probe vectors are standard normal,
+    a, b are log-uniform over [0.01, 100]; probe vectors are standard normal,
     rescaled to stay inside 0.8 of a bounded support for every scaled copy.
     """
     rng = np.random.default_rng(seed)
-    loga, logb = (math.log(a_range[0]), math.log(a_range[1]))
+    loga, logb = math.log(1e-2), math.log(1e2)
     a = np.exp(rng.uniform(loga, logb, trial_count))
     b = np.exp(rng.uniform(loga, logb, trial_count))
     lam = rng.standard_normal((trial_count, phi.dimension))
@@ -335,8 +334,8 @@ def check_lambda2(phi: YoungFunction, trial_count: int = 10_000,
         lam *= (0.8 * lims / np.maximum(hyp, np.maximum(a, b)))[:, None]
     lhs = phi.value_ext(a[:, None] * lam) + phi.value_ext(b[:, None] * lam)
     rhs = phi.value_ext(hyp[:, None] * lam)
-    bad = lhs > rhs + tolerance
-    plan = f"trials={trial_count},a_range={a_range}"
+    bad = lhs > rhs + 1e-9
+    plan = f"trials={trial_count},a_range=(0.01, 100.0)"
     if np.any(bad):
         i = int(np.argmax(bad))
         witness = {"a": float(a[i]), "b": float(b[i]), "lam": lam[i].copy(),
@@ -345,23 +344,23 @@ def check_lambda2(phi: YoungFunction, trial_count: int = 10_000,
     return CheckResult(True, None, trial_count, seed, plan)
 
 
-def delta2_grid(d: int, n_directions: int = 37) -> np.ndarray:
-    """Direction x log-radius probe grid used by the Delta_2 seminorm."""
-    dirs = sphere_directions(d, n_directions)
+def delta2_grid(d: int) -> np.ndarray:
+    """Direction x log-radius probe grid used by the Delta_2 seminorm:
+    37 directions times the radii 2^-10 ... 2^10."""
+    dirs = sphere_directions(d, 37)
     radii = 2.0 ** np.arange(-10, 11, dtype=float)
     return (dirs[:, None, :] * radii[None, :, None]).reshape(-1, d)
 
 
-def check_delta2_seminorm(phi: YoungFunction, A, rel_tol: float = 1e-6,
-                          m_max: float = 1e3, n_directions: int = 37) -> float:
+def check_delta2_seminorm(phi: YoungFunction, A) -> float:
     """Grid estimate of the matrix seminorm |||A|||_phi.
 
-    Bisection on the smallest m with phi(A^T lam) <= phi(m^2 lam) over a
-    finite direction x radius grid; a lower bound of the true seminorm.
-    Returns inf when no m below ``m_max`` works.
+    Bisection, to a relative width of 1e-6, on the smallest m with
+    phi(A^T lam) <= phi(m^2 lam) over the ``delta2_grid`` probes; a lower
+    bound of the true seminorm. Returns inf when no m below 1000 works.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    pts = delta2_grid(phi.dimension, n_directions)
+    pts = delta2_grid(phi.dimension)
     lhs = phi.value_ext(pts @ A)
 
     def ok(m):
@@ -370,24 +369,24 @@ def check_delta2_seminorm(phi: YoungFunction, A, rel_tol: float = 1e-6,
 
     if ok(0.0):
         return 0.0
-    hi = double_until(ok, 1.0, m_max)
+    hi = double_until(ok, 1.0, 1e3)
     if math.isinf(hi):
         return math.inf
-    return bisect_monotone(ok, 0.0, hi, rel_tol)[1]
+    return bisect_monotone(ok, 0.0, hi, 1e-6)[1]
 
 
-def check_absolutely_even(f, dimension: int, trial_count: int = 200,
-                          tol: float = 1e-10, seed: int = 0,
-                          scale: float = 1.0) -> CheckResult:
-    """Check f(eps (x) x) == f(x) across all 2^d sign flips at random points."""
+def check_absolutely_even(f, dimension: int, trial_count: int = 200, *,
+                          seed: int = 0) -> CheckResult:
+    """Check f(eps (x) x) == f(x), to within 1e-10, across all 2^d sign
+    flips at standard normal points."""
     rng = np.random.default_rng(seed)
-    pts = scale * rng.standard_normal((trial_count, dimension))
+    pts = rng.standard_normal((trial_count, dimension))
     base = np.asarray(f(pts), dtype=float)
     signs = enumerate_sign_vectors(dimension)
-    plan = f"trials={trial_count},scale={scale}"
+    plan = f"trials={trial_count},scale=1.0"
     for eps in signs:
         flipped = np.asarray(f(pts * eps), dtype=float)
-        bad = np.abs(flipped - base) > tol
+        bad = np.abs(flipped - base) > 1e-10
         if np.any(bad):
             i = int(np.argmax(bad))
             witness = {"eps": eps.copy(), "x": pts[i].copy(),

@@ -8,7 +8,9 @@ from exptail.bounds import (SumSpec, chernov_bound, lower_bound,
                             min_coordinate_bound, phi_bar, phi_bar_function,
                             phi_n, phi_n_function, sum_bound,
                             sum_bound_via_phi_n, sum_norm_pythagoras,
-                            transform_norm, uniform_sum_bound)
+                            transform_norm, uniform_sum_bound,
+                            uniform_sum_bound_via_phi_bar)
+from exptail.conjugate import ConjugateEvaluator
 from exptail.empirical import (Gaussian, RademacherScaled, SymmetricWeibull,
                                natural_function, sample, sample_sum,
                                tail_function)
@@ -41,6 +43,16 @@ class TestChernovBound:
             chernov_bound(make_quadratic([[1.0]]), 0.0, [1.0])
         with pytest.raises(ParameterError):
             chernov_bound(make_quadratic([[1.0]]), 1.0, [-1.0])
+
+    def test_rejects_evaluator_of_another_phi(self):
+        # phi*(x) for B = 4 is x^2 / 8; an evaluator built for B = 1 would
+        # report x^2 / 2, an exponent four times too large (non-conservative)
+        phi = make_quadratic([[4.0]])
+        other = ConjugateEvaluator(make_quadratic([[1.0]]))
+        with pytest.raises(ParameterError):
+            chernov_bound(phi, 1.0, [2.0], evaluator=other)
+        tb = chernov_bound(phi, 1.0, [2.0], evaluator=ConjugateEvaluator(phi))
+        assert tb.exponent == pytest.approx(0.5, rel=1e-9)
 
     def test_diverged_direction_underflows(self):
         phi = make_logcosh(1)     # conjugate infinite beyond |x| = 1
@@ -214,6 +226,14 @@ class TestSumBoundViaPhiN:
         s = sample_sum(RademacherScaled(1.0, 1), 16, 100_000, seed=12)
         emp = tail_function(s, [2.0])
         assert emp.probability - emp.half_width <= tb.bound
+
+    def test_phi_bar_route_is_chernov_on_the_envelope(self):
+        phi = make_logcosh(1)
+        tb = uniform_sum_bound_via_phi_bar(phi, [1.5])
+        assert tb.exponent == chernov_bound(phi_bar_function(phi), 1.0,
+                                            [1.5]).exponent
+        assert tb.ingredients["route"] == "phi_bar"
+        assert tb.ingredients["n_truncation"] == "heuristic"
 
     def test_phi_bar_envelope_function(self):
         phi = make_power(4.0, 1.0, 1)

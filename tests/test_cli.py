@@ -165,6 +165,40 @@ class TestVerifySuite:
         assert {r.inputs["n_terms"] for r in records} == {1, 4}
 
 
+class TestCases:
+    def test_tailbound_is_a_one_case_suite(self):
+        single, _ = run(ExperimentConfig.from_dict(TAIL_CFG))
+        case = {k: v for k, v in TAIL_CFG.items()
+                if k not in ("experiment", "seed")}
+        suite, _ = run(ExperimentConfig.from_dict({
+            "experiment": "verify-suite", "seed": TAIL_CFG["seed"],
+            "cases": [{**case, "name": "tailbound"}]}))
+        assert [r.csv_cells() for r in single] == \
+            [r.csv_cells() for r in suite]
+
+    def test_config_errors_name_their_key(self):
+        with pytest.raises(ConfigError) as info:
+            run(ExperimentConfig.from_dict({**TAIL_CFG,
+                                            "dist": "gaussian{Q=[[1]]}"}))
+        assert str(info.value) == "dist: dimension mismatch with phi"
+        for experiment in ("tailbound", "sumbound"):
+            payload = {k: v for k, v in TAIL_CFG.items() if k != "x"}
+            with pytest.raises(ConfigError) as info:
+                run(ExperimentConfig.from_dict({**payload,
+                                                "experiment": experiment}))
+            assert info.value.key == "x"
+        case = {k: v for k, v in TAIL_CFG.items()
+                if k not in ("experiment", "seed")}
+        no_phi = {k: v for k, v in case.items() if k != "phi"}
+        for bad, message in (
+                ({**case, "kind": "bogus"}, "kind: unknown kind 'bogus'"),
+                (no_phi, "phi: missing required option")):
+            with pytest.raises(ConfigError) as info:
+                run(ExperimentConfig.from_dict({"experiment": "verify-suite",
+                                                "cases": [case, bad]}))
+            assert str(info.value) == "cases[1]." + message
+
+
 class TestMainEntry:
     def test_config_error_exit_two(self, tmp_path):
         path = write_config(tmp_path, "bad.json",

@@ -151,6 +151,14 @@ class TestAnalyticNaturalFunction:
         want = math.log(math.sinh(1.4) / 1.4)
         assert f(lam)[0] == pytest.approx(want, rel=1e-10)
 
+    def test_uniform_mgf_zero_coordinate_raises_no_warning(self):
+        f = UniformBox([2.0, 1.0]).mgf_log()
+        with np.errstate(all="raise"):
+            vals = f(np.array([[0.0, 0.0], [0.0, 1.4]]))
+        assert vals[0] == 0.0
+        assert vals[1] == pytest.approx(math.log(math.sinh(1.4) / 1.4),
+                                        rel=1e-10)
+
 
 class TestTailFunction:
     def test_d1_gaussian_two_sided(self, gauss1_sample):
