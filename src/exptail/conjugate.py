@@ -1,10 +1,13 @@
 """Numerical Legendre (Young-Fenchel) conjugation and ray inversion.
 
-The conjugate phi*(y) = sup_x ((x, y) - phi(x)) is computed by a shared
-grid stage (adaptively expanded box), followed by a local ascent polish:
+The conjugate phi*(y) = sup_x ((x, y) - phi(x)) is computed in two stages.
+A grid stage scores each row on a grid over the support, or, when the
+support is unbounded, on its own box that doubles while the row's maximum
+sits on the edge and still grows. A local ascent then polishes each row:
 Barzilai-Borwein projected gradient when the source has a gradient, a
 coordinate pattern search otherwise. Reported values are always lower
-bounds of the true supremum (x = 0 is always a candidate, so phi* >= 0).
+bounds of the true supremum (x = 0 is always a candidate, so phi* >= 0),
+and the grid stage of a row does not depend on the other rows of its batch.
 """
 from __future__ import annotations
 
@@ -19,8 +22,8 @@ from .vectors import bisect_monotone, box_grid
 from .young import YoungFunction
 
 _GRID_RES = {1: 129, 2: 65, 3: 33}
-_ZOOM_RES = {1: 17, 2: 9, 3: 7}
-#: Doublings of the search box before a still-growing row counts as diverged.
+#: Doublings of a row's search box before a still-growing row counts as
+#: diverged.
 _MAX_EXPANSIONS = 60
 #: Lower edge of the log-reparameterized search box (e^-40 is about 4e-18).
 _MU_LO = -40.0
@@ -75,9 +78,10 @@ class ConjugateEvaluator:
     """Conjugation of one source function; it holds only ``phi``.
 
     The settings are fixed: a grid of ``_GRID_RES`` points per axis over the
-    support (or an adaptively doubled box when the support is unbounded),
-    two zoom passes around the incumbent, then at most 240 ascent steps
-    down to a relative gradient of 1e-9.
+    support, or, when the support is unbounded, over a per-row box that
+    starts at the power of two 2^ceil(log2(2 (1 + max|y_i|))) and doubles
+    at most ``_MAX_EXPANSIONS`` times; then at most 240 ascent steps down
+    to a relative gradient of 1e-9, started with the row's grid cell.
     """
 
     def __init__(self, phi: YoungFunction):
@@ -90,20 +94,19 @@ class ConjugateEvaluator:
         return self.values(Y)[0]
 
     def values(self, Y, x0=None) -> ConjugateBatch:
-        """Batched phi* at rows of Y; ``x0`` warm-starts the polish only."""
+        """Batched phi* at the rows of Y, which must be finite; ``x0``
+        warm-starts the polish only."""
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         if Y.shape[1] != self.phi.dimension:
             raise ParameterError("query dimension mismatch")
+        if not np.all(np.isfinite(Y)):
+            raise ParameterError("query rows must be finite")
         if x0 is not None:
             x = self._project(np.atleast_2d(np.asarray(x0, dtype=float)).copy())
             val = self._objective(Y, x)
-            return self._polish(Y, x, val, box=None,
-                                cell=np.full(Y.shape[0], 1e-3),
+            return self._polish(Y, x, val, cell=np.full(Y.shape[0], 1e-3),
                                 diverged=np.zeros(Y.shape[0], dtype=bool))
-        x, val, cell, diverged = self._grid_stage(Y)
-        x, val, cell = self._zoom(Y, x, val, cell, diverged)
-        return self._polish(Y, x, val, box=self._box_half_widths(),
-                            cell=cell, diverged=diverged)
+        return self._polish(Y, *self._grid_stage(Y))
 
     # -- internals ----------------------------------------------------------
 
@@ -138,83 +141,56 @@ class ConjugateEvaluator:
         best_val = np.zeros(m)          # x = 0 is always a candidate
         best_x = np.zeros((m, d))
         diverged = np.zeros(m, dtype=bool)
+
+        def score(rows, X):
+            val, idx = _chunked_scores(Y[rows], X, self.phi.value_ext(X))
+            take = val > best_val[rows]
+            best_val[rows[take]] = val[take]
+            best_x[rows[take]] = X[idx[take]]
+
         if fixed is not None:
-            X = box_grid(-fixed, fixed, res)
-            phiX = self.phi.value_ext(X)
-            val, idx = _chunked_scores(Y, X, phiX)
-            take = val > best_val
-            best_val[take] = val[take]
-            best_x[take] = X[idx[take]]
+            score(np.arange(m), box_grid(-fixed, fixed, res))
             cell = np.full(m, float(np.max(fixed)) * 2.0 / (res - 1))
             return best_x, best_val, cell, diverged
-        h = 2.0 * (1.0 + float(np.max(np.abs(Y))))
+        # each row on its own power-of-two box; rows on the same box share
+        # one grid, and a row stops once its maximum leaves the edge or
+        # stops growing
+        h = 2.0 ** np.ceil(np.log2(2.0 * (1.0 + np.max(np.abs(Y), axis=1))))
         active = np.ones(m, dtype=bool)
         prev_val = np.full(m, -np.inf)
-        n_exp = 0
-        while True:
-            X = box_grid(-h, np.full(d, h), res)
-            phiX = self.phi.value_ext(X)
-            val, idx = _chunked_scores(Y, X, phiX)
-            take = val > best_val
-            best_val[take] = val[take]
-            best_x[take] = X[idx[take]]
+        n_exp = np.zeros(m, dtype=np.int64)
+        while np.any(active):
+            for hv in np.unique(h[active]):
+                score(np.flatnonzero(active & (h == hv)),
+                      box_grid(-hv, np.full(d, hv), res))
+            n_exp[active] += 1
             edge = h * (1.0 - 1.5 / (res - 1))
             on_edge = np.max(np.abs(best_x), axis=1) >= edge
             grew = best_val > prev_val + 1e-10 * (1.0 + np.abs(best_val))
-            active = on_edge & grew
             prev_val = best_val.copy()
-            n_exp += 1
-            if not np.any(active) or n_exp >= _MAX_EXPANSIONS:
-                break
-            h *= 2.0
-        if n_exp >= _MAX_EXPANSIONS:
-            diverged = active.copy()
-        cell = np.full(m, h * 2.0 / (res - 1))
-        return best_x, best_val, cell, diverged
+            active &= on_edge & grew
+            diverged |= active & (n_exp >= _MAX_EXPANSIONS)
+            active &= ~diverged
+            h[active] *= 2.0
+        return best_x, best_val, h * 2.0 / (res - 1), diverged
 
-    def _zoom(self, Y, x, val, cell, diverged):
-        d = Y.shape[1]
-        res = _ZOOM_RES.get(d, 5)
-        if Y.shape[0] * res**d > 2_000_000:
-            return x, val, cell
-        offsets = box_grid(-1.0, np.ones(d), res)    # (res^d, d) in [-1, 1]
-        for _ in range(2):
-            w = 2.0 * cell
-            cand = x[:, None, :] + offsets[None, :, :] * w[:, None, None]
-            flat = self._project(cand.reshape(-1, d))
-            vals = (np.einsum("ij,ij->i", np.repeat(Y, res**d, axis=0), flat)
-                    - self.phi.value_ext(flat)).reshape(Y.shape[0], -1)
-            idx = np.argmax(vals, axis=1)
-            vbest = vals[np.arange(Y.shape[0]), idx]
-            take = (vbest > val) & ~diverged
-            x[take] = flat.reshape(Y.shape[0], -1, d)[take, idx[take]]
-            val[take] = vbest[take]
-            cell = w * 2.0 / (res - 1)
-        return x, val, cell
-
-    def _polish(self, Y, x, val, box, cell, diverged):
+    def _polish(self, Y, x, val, cell, diverged):
         if self.phi.has_gradient:
-            x, val, slack = self._ascent_bb(Y, x, val, box, cell, diverged)
+            x, val, slack = self._ascent_bb(Y, x, val, cell)
         else:
-            x, val, slack = self._pattern(Y, x, val, box, cell, diverged)
+            x, val, slack = self._pattern(Y, x, val, cell)
         values = val.copy()
         values[diverged] = np.inf
         return ConjugateBatch(values, x, slack, diverged)
 
-    def _clip_box(self, X, box):
-        if box is not None:
-            X = np.clip(X, -box, box)
-        return self._project(X)
-
-    def _ascent_bb(self, Y, x0, v0, box, cell, diverged):
-        m = Y.shape[0]
-        x = self._clip_box(x0.copy(), box)
+    def _ascent_bb(self, Y, x0, v0, cell):
+        x = self._project(x0.copy())
         g = Y - self.phi.grad(x)
         best_x, best_v = x.copy(), self._objective(Y, x)
         gn = np.linalg.norm(g, axis=1)
         alpha = cell / np.maximum(gn, 1e-30)
         x_prev, g_prev = x, g
-        x = self._clip_box(x + alpha[:, None] * g, box)
+        x = self._project(x + alpha[:, None] * g)
         scale = 1.0 + np.max(np.abs(Y), axis=1)
         for _ in range(240):
             g = Y - self.phi.grad(x)
@@ -231,7 +207,7 @@ class ConjugateEvaluator:
                 alpha = np.where(sy > 1e-300, ss / sy, fallback)
             alpha = np.clip(np.nan_to_num(alpha, nan=1e-6), 1e-14, 1e14)
             x_prev, g_prev = x, g
-            x = self._clip_box(x + alpha[:, None] * g, box)
+            x = self._project(x + alpha[:, None] * g)
             if np.max(np.linalg.norm(g, axis=1) / scale) < 1e-9 and \
                np.max(np.abs(x - x_prev)) < 1e-13 * (1.0 + np.max(np.abs(x))):
                 break
@@ -246,14 +222,15 @@ class ConjugateEvaluator:
         best_x[low] = x0[low]
         return best_x, best_v, slack
 
-    def _pattern(self, Y, x0, v0, box, cell, diverged):
+    def _pattern(self, Y, x0, v0, cell):
         m, d = Y.shape
-        x = self._clip_box(x0.copy(), box)
+        x = self._project(x0.copy())
         v = self._objective(Y, x)
         worse = v < v0
         x[worse] = x0[worse]
         v[worse] = v0[worse]
         step = cell.copy()
+        hw = self._box_half_widths()
         xtol = 1e-7 * (cell + 1e-12)
         for _ in range(90):
             improved = np.zeros(m, dtype=bool)
@@ -261,15 +238,15 @@ class ConjugateEvaluator:
                 for sgn in (1.0, -1.0):
                     cand = x.copy()
                     cand[:, j] += sgn * step
-                    cand = self._clip_box(cand, box)
+                    cand = self._project(cand)
                     vc = self._objective(Y, cand)
                     take = vc > v
                     x[take] = cand[take]
                     v[take] = vc[take]
                     improved |= take
             step = np.where(improved, step * 1.7, step * 0.5)
-            if box is not None:
-                step = np.minimum(step, np.max(box))
+            if hw is not None:
+                step = np.minimum(step, np.max(hw))
             if np.all(step < xtol):
                 break
         slack = step * (np.sum(np.abs(Y), axis=1) + 1.0)

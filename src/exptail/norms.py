@@ -51,10 +51,7 @@ class ProbePlan:
 def ray_probe_plan(d: int, n_directions: int = 37, r_lo: float = 0.05,
                    r_hi: float = 4.0, n_radii: int = 25) -> ProbePlan:
     """Default plan: low-discrepancy directions x log-spaced radii."""
-    if d == 1:
-        dirs = np.array([[1.0], [-1.0]])
-    else:
-        dirs = sphere_directions(d, n_directions)
+    dirs = sphere_directions(d, n_directions)
     radii = np.geomspace(r_lo, r_hi, n_radii)
     pts = (dirs[:, None, :] * radii[None, :, None]).reshape(-1, d)
     desc = (f"rays(dirs={dirs.shape[0]},radii={n_radii},"
@@ -284,7 +281,7 @@ def luxemburg_norm(s: SampleSet, N: OrliczFunction, rel_tol: float = 1e-4, *,
     if math.isinf(hi):
         return NormEstimate(math.inf, (_LUX_C_MAX, math.inf), plan,
                             flags=("exceeds_cap",))
-    lo = hi
+    lo = 0.5 * hi
     while ok(lo):
         hi = lo
         lo *= 0.5

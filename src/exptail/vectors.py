@@ -138,14 +138,13 @@ def sphere_directions(d: int, count: int) -> np.ndarray:
 
     A Kronecker lattice (generalized golden ratio) on [0,1)^d is pushed
     through the normal quantile and normalized, giving a reproducible,
-    well-spread direction set without any RNG.
+    well-spread direction set without any RNG. In d = 1 the sphere is
+    {+1, -1}, so both are returned, once each, whatever ``count`` is.
     """
     if d < 1 or count < 1:
         raise ValueError("d and count must be positive")
     if d == 1:
-        out = np.ones((count, 1))
-        out[1::2, 0] = -1.0
-        return out
+        return np.array([[1.0], [-1.0]])
     # plastic-constant style alphas: x^(d+1) = x + 1
     g = 1.5
     for _ in range(60):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exptail.conjugate import (ConjugateEvaluator, biconjugate_residual,
                                conjugate, log_reparam, log_reparam_conjugate,
@@ -14,6 +16,31 @@ from exptail.young import (make_bounded_support, make_custom, make_logcosh,
 def _random_pd(rng, d):
     A = rng.standard_normal((d, d))
     return A @ A.T + 0.3 * np.eye(d)
+
+
+def _logcosh_star(Y):
+    """Closed form of (sum_j log cosh x_j)* on |y_j| < 1."""
+    Y = np.asarray(Y, dtype=float)
+    return 0.5 * np.sum((1 + Y) * np.log1p(Y) + (1 - Y) * np.log1p(-Y),
+                        axis=-1)
+
+
+_B2 = np.array([[1.5, 0.3], [0.3, 1.0]])
+
+# name: (phi, half-width of the drawn finite rows, rows mixed into every
+# batch (divergent for logcosh, far out for the others), closed form or None)
+_BATCH_FAMILIES = {
+    "quadratic_d2": (make_quadratic(_B2), 3.0, [[40.0, 40.0]],
+                     lambda Y: 0.5 * np.einsum("ij,ij->i", Y,
+                                               np.linalg.solve(_B2, Y.T).T)),
+    # sup_x (x y - x^4) = 3 (|y| / 4)^(4/3)
+    "power4_d1": (make_power(4.0, 1.0, 1), 8.0, [[40.0]],
+                  lambda Y: 3.0 * (np.abs(Y[:, 0]) / 4.0) ** (4.0 / 3.0)),
+    "logcosh_d1": (make_logcosh(1), 0.95, [[1.5], [-1.2]], _logcosh_star),
+    "logcosh_d2": (make_logcosh(2), 0.95, [[40.0, 40.0], [0.5, 1.5]],
+                   _logcosh_star),
+    "bounded_d1": (make_bounded_support(1.0, 1.0), 5.0, [[40.0]], None),
+}
 
 
 class TestConjugateQuadratic:
@@ -106,6 +133,61 @@ class TestConjugateStructure:
         val = ConjugateEvaluator(phi).value(np.array([1.0]))
         assert not val.diverged
         assert val.value == pytest.approx(math.log(2.0), abs=1e-5)
+
+
+class TestBatchIndependence:
+    """A row's phi* and slack do not depend on the rest of its batch."""
+
+    @pytest.mark.parametrize("family", sorted(_BATCH_FAMILIES))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_row_matches_lone_query(self, family, data):
+        phi, span, extra, closed_form = _BATCH_FAMILIES[family]
+        coord = st.floats(-span, span, allow_nan=False)
+        rows = data.draw(st.lists(st.lists(coord, min_size=phi.dimension,
+                                           max_size=phi.dimension),
+                                  min_size=1, max_size=4))
+        at = data.draw(st.integers(0, len(rows)))
+        Y = np.array(rows[:at] + extra + rows[at:], dtype=float)
+        ev = ConjugateEvaluator(phi)
+        batch = ev.values(Y)
+        drawn = [i for i in range(len(Y)) if not at <= i < at + len(extra)]
+        assert not np.any(batch.diverged[drawn])
+        for i in np.flatnonzero(~batch.diverged):
+            alone = ev.value(Y[i])
+            tol = 1e-6 * (1.0 + abs(alone.value))
+            assert abs(batch.values[i] - alone.value) <= tol
+            assert batch.slack[i] <= tol
+            if closed_form is not None:
+                want = float(closed_form(Y[i:i + 1])[0])
+                assert batch.values[i] == pytest.approx(want, abs=tol)
+                assert batch.values[i] <= want + 1e-12 * (1.0 + want)
+
+    def test_logcosh_small_rows_beside_divergent_ones(self):
+        # the y of a CLI `conjugate` run: the rows above 1 diverge, and their
+        # ever larger search boxes must not coarsen the rows below 1, nor
+        # push phi*(1) above its supremum ln 2
+        Y = np.arange(0.25, 1.5 + 1e-12, 0.25)[:, None]
+        batch = ConjugateEvaluator(make_logcosh(1)).values(Y)
+        assert batch.values[0] == pytest.approx(_logcosh_star([0.25]),
+                                                rel=1e-12)   # 0.0315839...
+        assert batch.slack[0] <= 1e-9
+        assert batch.values[3] <= math.log(2.0)
+        assert batch.values[3] == pytest.approx(math.log(2.0), rel=1e-12)
+        assert list(batch.diverged) == [False] * 4 + [True] * 2
+
+    def test_logcosh_d2_finite_rows_beside_far_row(self):
+        # the divergent row (40, 40) must leave the finite rows' grids alone
+        Y = np.array([[0.1, 0.2], [0.5, 0.3], [0.9, 0.7], [40.0, 40.0]])
+        batch = ConjugateEvaluator(make_logcosh(2)).values(Y)
+        assert np.allclose(batch.values[:3], _logcosh_star(Y[:3]), rtol=1e-9)
+        assert list(batch.diverged) == [False, False, False, True]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_row_rejected(self, bad):
+        ev = ConjugateEvaluator(make_quadratic(np.eye(2)))
+        with pytest.raises(ParameterError):
+            ev.values(np.array([[0.5, 0.5], [bad, 0.0]]))
 
 
 class TestBiconjugate:

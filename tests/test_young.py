@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from exptail.errors import OutsideSupportError, ParameterError
 from exptail.young import (check_absolutely_even,
-                           check_delta2_seminorm, check_lambda2,
+                           check_delta2_seminorm, check_lambda2, delta2_grid,
                            make_bounded_support, make_custom, make_logcosh,
                            make_power, make_quadratic, make_radial)
 
@@ -181,6 +181,11 @@ class TestDelta2:
     def test_zero(self):
         phi = make_quadratic(np.eye(2))
         assert check_delta2_seminorm(phi, np.zeros((2, 2))) == 0.0
+
+    def test_d1_probes_are_distinct(self):
+        # R^1 has two unit directions: 2 x 21 radii, each probe once
+        pts = delta2_grid(1)
+        assert len(np.unique(pts, axis=0)) == len(pts) == 42
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 3.0, 10.0])
     def test_scaled_identity(self, alpha):
