@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from exptail.empirical import (CenteredCustom, Gaussian, RademacherScaled,
                                min_coordinate_tail, natural_function, sample,
                                sample_sum, tail_function, vector_moment)
 from exptail.errors import ParameterError
-from exptail.vectors import log_cosh
+from exptail.norms import ray_probe_plan
+from exptail.vectors import enumerate_sign_vectors, log_cosh
 from exptail.young import check_absolutely_even
 
 N_BIG = 100_000
@@ -127,6 +129,97 @@ class TestNaturalFunction:
         lam = np.linspace(-1.5, 1.5, 11)[:, None]
         assert np.allclose(phi.value(lam), nat.evaluate(np.abs(lam)), atol=1e-3)
         assert phi.hessian_at_origin[0, 0] == pytest.approx(1.0, abs=0.05)
+
+
+def _oracle_natural(nat, pts):
+    """The former kernel (400-row blocks, float32 cast by ``astype``), kept
+    as the reference for the blocked, threaded one."""
+    data = nat._data
+    n = data.shape[0]
+    m = pts.shape[0]
+    best = np.full((m,), -np.inf)
+    best_top = np.full((m,), -np.inf)
+    samp_chunk = 200_000
+    row_chunk = max(1, 8_000_000 // min(n, samp_chunk))
+    for lo in range(0, m, row_chunk):
+        hi = min(m, lo + row_chunk)
+        for eps in enumerate_sign_vectors(data.shape[1]):
+            M = np.full(hi - lo, -np.inf)
+            S = np.zeros(hi - lo)
+            top = np.full(hi - lo, -np.inf)
+            flipped = pts[lo:hi] * eps
+            for slo in range(0, n, samp_chunk):
+                T = flipped @ data[slo:slo + samp_chunk].T
+                cm = T.max(axis=1)
+                top = np.maximum(top, cm)
+                M_new = np.maximum(M, cm)
+                shifted = (T - M_new[:, None]).astype(np.float32)
+                S = S * np.exp(M - M_new) + \
+                    np.exp(shifted).sum(axis=1, dtype=np.float64)
+                M = M_new
+            lse = M + np.log(S)
+            lme = lse - math.log(n)
+            frac = np.exp(top - lse)
+            sel = lme > best[lo:hi]
+            best[lo:hi][sel] = lme[sel]
+            best_top[lo:hi][sel] = frac[sel]
+    return np.maximum(best, 0.0), best_top <= 0.1
+
+
+KERNEL_LAWS = {"rademacher_d1": RademacherScaled(1.0, 1),
+               "gaussian_d2": Gaussian(np.eye(2)),
+               "weibull4_d2": SymmetricWeibull(4.0, 1.0, 2)}
+
+
+@pytest.fixture(scope="module", params=sorted(KERNEL_LAWS))
+def kernel_nat(request):
+    return natural_function(sample(KERNEL_LAWS[request.param], 20_000, 14))
+
+
+class TestNaturalKernel:
+    def test_matches_oracle_on_default_plan(self, kernel_nat):
+        pts = ray_probe_plan(kernel_nat.dimension).points
+        vals, trusted = kernel_nat.evaluate_with_trust(pts)
+        want_vals, want_trusted = _oracle_natural(kernel_nat, pts)
+        assert np.array_equal(vals, want_vals)
+        assert np.array_equal(trusted, want_trusted)
+
+    @pytest.mark.parametrize("m", [1, 7, 925])
+    def test_batch_split(self, m):
+        nat = natural_function(sample(Gaussian(np.eye(2)), 20_000, 14))
+        pts = ray_probe_plan(2).points[:m]
+        whole_vals, whole_trusted = nat._evaluate_part(pts)
+        for parts in sorted({2, 3, m}):
+            done = [nat._evaluate_part(pts[i * m // parts:(i + 1) * m // parts])
+                    for i in range(parts)]
+            vals = np.concatenate([v for v, _ in done])
+            # a one-row part runs through BLAS gemv instead of gemm; its
+            # rounding moves M + log S, which is of order 1, not the value
+            assert np.all(np.abs(vals - whole_vals)
+                          <= 1e-13 * (1.0 + np.abs(whole_vals)))
+            assert np.array_equal(np.concatenate([t for _, t in done]),
+                                  whole_trusted)
+        vals, trusted = nat.evaluate_with_trust(pts)
+        assert np.array_equal(vals, whole_vals)
+        assert np.array_equal(trusted, whole_trusted)
+
+    def test_default_plan_peak_memory(self):
+        nat = natural_function(sample(Gaussian(np.eye(2)), 20_000, 14))
+        pts = ray_probe_plan(2).points
+        tracemalloc.start()
+        try:
+            nat.evaluate_with_trust(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_empty_batch(self, d):
+        nat = natural_function(sample(Gaussian(np.eye(d)), 1000, 3))
+        vals, trusted = nat.evaluate_with_trust(np.zeros((0, d)))
+        assert vals.shape == trusted.shape == (0,)
+        assert trusted.dtype == bool
 
 
 class TestAnalyticNaturalFunction:
@@ -362,6 +455,23 @@ class TestUniformBoxMgf:
         with np.errstate(all="ignore"):   # a * a overflows in the unused branch
             big = a + np.log1p(-np.exp(-2.0 * np.maximum(a, 1e-300))) \
                 - np.log(2.0 * np.maximum(a, 1e-300))
-            unclamped = np.sum(np.where(a < 1e-4, a * a / 6.0, big), axis=-1)
+            s = a * a
+            series = s * (1.0 / 6.0 - s * (1.0 / 180.0 - s / 2835.0))
+            unclamped = np.sum(np.where(a < 0.05, series, big), axis=-1)
             clamped = UniformBox(hw).mgf_log()(lam)
         assert np.array_equal(clamped, unclamped)
+
+    def test_relative_accuracy(self):
+        # log1p of the positive series of sinh(a)/a - 1 has no cancellation
+        a = np.concatenate([np.geomspace(1e-8, 20.0, 4001),
+                            np.linspace(0.045, 0.055, 1001)])
+        excess = np.zeros_like(a)
+        term = a * a / 6.0
+        for k in range(1, 80):
+            excess += term
+            term = term * a * a / ((2 * k + 2) * (2 * k + 3))
+        want = np.log1p(excess)
+        got = UniformBox([1.0]).mgf_log()(a[:, None])
+        # below 0.05 the omitted series term is at most 2.5e-12 of the value;
+        # just above, the closed form's own rounding reaches 2.7e-12
+        assert np.max(np.abs(got - want) / want) <= 3e-12
