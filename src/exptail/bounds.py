@@ -19,7 +19,7 @@ from .empirical import (Gaussian, SampleSet, TailEstimate, empirical_variance,
                         sample, sample_sum, tail_function)
 from .errors import MissingCertificateError, ParameterError
 from .norms import NormEstimate, ProbePlan, bphi_norm
-from .young import CheckResult, SupportRegion, YoungFunction, make_custom
+from .young import CheckResult, YoungFunction, make_custom
 
 
 @dataclass(frozen=True)
@@ -184,13 +184,6 @@ def phi_n_function(phi: YoungFunction, n: int) -> YoungFunction:
     if n < 1:
         raise ParameterError("n must be >= 1")
     root = math.sqrt(n)
-    sup = phi.support
-    if sup.kind == "ball":
-        support = SupportRegion.ball(sup.dimension, sup.radius * root)
-    elif sup.kind == "box":
-        support = SupportRegion.box(tuple(h * root for h in sup.half_widths))
-    else:
-        support = SupportRegion.full(sup.dimension)
     grad = None
     if phi.has_gradient:
         def grad(x, _root=root):
@@ -198,7 +191,7 @@ def phi_n_function(phi: YoungFunction, n: int) -> YoungFunction:
 
     return make_custom(phi.dimension,
                        lambda x: n * phi.value_ext(np.asarray(x) / root),
-                       support=support, gradient=grad,
+                       support=phi.support.scaled(root), gradient=grad,
                        hessian_at_origin=phi.hessian_at_origin,
                        params={"base": phi.family, "n": n})
 

@@ -3,11 +3,17 @@
 The conjugate phi*(y) = sup_x ((x, y) - phi(x)) is computed in two stages.
 A grid stage scores each row on a grid over the support, or, when the
 support is unbounded, on its own box that doubles while the row's maximum
-sits on the edge and still grows. A local ascent then polishes each row:
-Barzilai-Borwein projected gradient when the source has a gradient, a
-coordinate pattern search otherwise. Reported values are always lower
-bounds of the true supremum (x = 0 is always a candidate, so phi* >= 0),
-and the grid stage of a row does not depend on the other rows of its batch.
+sits on the edge and still grows. A local search then polishes each row:
+``bb_ascent`` (projected Barzilai-Borwein) when the source has a gradient,
+``pattern_search`` (coordinate pattern search) otherwise. The pattern
+search stays for kinked sources such as a tabulated natural function,
+where it lands closer to the vertex maximum than gradient ascent. Both
+searches stop each row on its own, so a row's value does not depend on the
+other rows of its batch as long as the source evaluates each row alone.
+The same two searches serve the biconjugate check and the
+log-reparameterized conjugate behind the moment norm. Reported values are
+always lower bounds of the true supremum (x = 0 is always a candidate, so
+phi* >= 0).
 """
 from __future__ import annotations
 
@@ -80,8 +86,8 @@ class ConjugateEvaluator:
     The settings are fixed: a grid of ``_GRID_RES`` points per axis over the
     support, or, when the support is unbounded, over a per-row box that
     starts at the power of two 2^ceil(log2(2 (1 + max|y_i|))) and doubles
-    at most ``_MAX_EXPANSIONS`` times; then at most 240 ascent steps down
-    to a relative gradient of 1e-9, started with the row's grid cell.
+    at most ``_MAX_EXPANSIONS`` times; then ``bb_ascent`` or
+    ``pattern_search``, started with the row's grid cell.
     """
 
     def __init__(self, phi: YoungFunction):
@@ -102,7 +108,8 @@ class ConjugateEvaluator:
         if not np.all(np.isfinite(Y)):
             raise ParameterError("query rows must be finite")
         if x0 is not None:
-            x = self._project(np.atleast_2d(np.asarray(x0, dtype=float)).copy())
+            x = self.phi.support.project(
+                np.atleast_2d(np.asarray(x0, dtype=float)).copy())
             val = self._objective(Y, x)
             return self._polish(Y, x, val, cell=np.full(Y.shape[0], 1e-3),
                                 diverged=np.zeros(Y.shape[0], dtype=bool))
@@ -110,33 +117,13 @@ class ConjugateEvaluator:
 
     # -- internals ----------------------------------------------------------
 
-    def _box_half_widths(self):
-        sup = self.phi.support
-        if sup.kind == "ball":
-            return np.full(self.phi.dimension, sup.radius * (1 - 1e-12))
-        if sup.kind == "box":
-            return np.asarray(sup.half_widths) * (1 - 1e-12)
-        return None  # unbounded: adaptive
-
-    def _project(self, X):
-        sup = self.phi.support
-        if sup.kind == "ball":
-            r = np.linalg.norm(X, axis=-1, keepdims=True)
-            lim = sup.radius * (1 - 1e-12)
-            scale = np.where(r > lim, lim / np.maximum(r, 1e-300), 1.0)
-            X = X * scale
-        elif sup.kind == "box":
-            hw = np.asarray(sup.half_widths) * (1 - 1e-12)
-            X = np.clip(X, -hw, hw)
-        return X
-
     def _objective(self, Y, X):
         with np.errstate(invalid="ignore"):
             return np.einsum("ij,ij->i", Y, X) - self.phi.value_ext(X)
 
     def _grid_stage(self, Y):
         m, d = Y.shape
-        fixed = self._box_half_widths()
+        fixed = self.phi.support.search_half_widths()
         res = _GRID_RES.get(d, 9)
         best_val = np.zeros(m)          # x = 0 is always a candidate
         best_x = np.zeros((m, d))
@@ -175,82 +162,116 @@ class ConjugateEvaluator:
         return best_x, best_val, h * 2.0 / (res - 1), diverged
 
     def _polish(self, Y, x, val, cell, diverged):
+        sup = self.phi.support
         if self.phi.has_gradient:
-            x, val, slack = self._ascent_bb(Y, x, val, cell)
+            def f(rows, X):
+                return self._objective(Y[rows], X), Y[rows] - self.phi.grad(X)
+
+            best_x, best_v, best_g = bb_ascent(
+                f, x, cell, 1.0 + np.max(np.abs(Y), axis=1), sup.project)
+            slack = (np.linalg.norm(best_g, axis=1) * cell
+                     + 1e-14 * (1.0 + np.abs(best_v)))
+            low = val > best_v
+            best_v[low] = val[low]
+            best_x[low] = x[low]
         else:
-            x, val, slack = self._pattern(Y, x, val, cell)
-        values = val.copy()
+            start = sup.project(x.copy())
+            start_v = self._objective(Y, start)
+            worse = start_v < val
+            start[worse] = x[worse]
+            start_v[worse] = val[worse]
+            hw = sup.search_half_widths()
+            best_x, best_v, step = pattern_search(
+                lambda rows, X: self._objective(Y[rows], X), start, start_v,
+                cell, sup.project, math.inf if hw is None else np.max(hw))
+            slack = step * (np.sum(np.abs(Y), axis=1) + 1.0)
+        values = best_v.copy()
         values[diverged] = np.inf
-        return ConjugateBatch(values, x, slack, diverged)
+        return ConjugateBatch(values, best_x, slack, diverged)
 
-    def _ascent_bb(self, Y, x0, v0, cell):
-        x = self._project(x0.copy())
-        g = Y - self.phi.grad(x)
-        best_x, best_v = x.copy(), self._objective(Y, x)
+
+def bb_ascent(f, x, cell, scale, project):
+    """Projected Barzilai-Borwein ascent, one maximization per row of ``x``.
+
+    ``f(rows, X)`` returns the objective and its gradient at the points X
+    of the problems ``rows``. Row i starts at ``project(x[i])`` with a first
+    step of length ``cell[i]``, and stops on its own once its gradient is
+    below 1e-9 ``scale[i]`` and its step below 1e-13 (1 + max|x_i|), or
+    after 240 steps; each pass evaluates only the rows still running, and
+    a row's last point is evaluated too. Returns the best point of each
+    row, with its objective and gradient.
+    """
+    rows = np.arange(x.shape[0])
+    x = project(x.copy())
+    best_v, g = f(rows, x)
+    best_x, best_g = x.copy(), g.copy()
+    alpha = cell / np.maximum(np.linalg.norm(g, axis=1), 1e-30)
+    x_prev, g_prev = x, g
+    x = project(x + alpha[:, None] * g)
+    stop = np.zeros(rows.size, dtype=bool)
+    for it in range(241):
+        v, g = f(rows, x)
+        better = v > best_v[rows]
+        best_v[rows[better]] = v[better]
+        best_x[rows[better]] = x[better]
+        best_g[rows[better]] = g[better]
+        if it == 240 or np.all(stop):
+            break
+        go = ~stop
+        rows, x, g, x_prev, g_prev = (a[go] for a in (rows, x, g, x_prev,
+                                                      g_prev))
+        s = x - x_prev
+        yv = g_prev - g
+        sy = np.einsum("ij,ij->i", s, yv)
+        ss = np.einsum("ij,ij->i", s, s)
         gn = np.linalg.norm(g, axis=1)
-        alpha = cell / np.maximum(gn, 1e-30)
+        fallback = cell[rows] / np.maximum(gn, 1e-30)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            alpha = np.where(sy > 1e-300, ss / sy, fallback)
+        alpha = np.clip(np.nan_to_num(alpha, nan=1e-6), 1e-14, 1e14)
         x_prev, g_prev = x, g
-        x = self._project(x + alpha[:, None] * g)
-        scale = 1.0 + np.max(np.abs(Y), axis=1)
-        for _ in range(240):
-            g = Y - self.phi.grad(x)
-            v = self._objective(Y, x)
-            better = v > best_v
-            best_v[better] = v[better]
-            best_x[better] = x[better]
-            s = x - x_prev
-            yv = g_prev - g
-            sy = np.einsum("ij,ij->i", s, yv)
-            ss = np.einsum("ij,ij->i", s, s)
-            fallback = cell / np.maximum(np.linalg.norm(g, axis=1), 1e-30)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                alpha = np.where(sy > 1e-300, ss / sy, fallback)
-            alpha = np.clip(np.nan_to_num(alpha, nan=1e-6), 1e-14, 1e14)
-            x_prev, g_prev = x, g
-            x = self._project(x + alpha[:, None] * g)
-            if np.max(np.linalg.norm(g, axis=1) / scale) < 1e-9 and \
-               np.max(np.abs(x - x_prev)) < 1e-13 * (1.0 + np.max(np.abs(x))):
-                break
-        v = self._objective(Y, x)
-        better = v > best_v
-        best_v[better] = v[better]
-        best_x[better] = x[better]
-        res = np.linalg.norm(Y - self.phi.grad(best_x), axis=1)
-        slack = res * cell + 1e-14 * (1.0 + np.abs(best_v))
-        low = v0 > best_v
-        best_v[low] = v0[low]
-        best_x[low] = x0[low]
-        return best_x, best_v, slack
+        x = project(x + alpha[:, None] * g)
+        stop = ((gn / scale[rows] < 1e-9)
+                & (np.max(np.abs(x - x_prev), axis=1)
+                   < 1e-13 * (1.0 + np.max(np.abs(x), axis=1))))
+    return best_x, best_v, best_g
 
-    def _pattern(self, Y, x0, v0, cell):
-        m, d = Y.shape
-        x = self._project(x0.copy())
-        v = self._objective(Y, x)
-        worse = v < v0
-        x[worse] = x0[worse]
-        v[worse] = v0[worse]
-        step = cell.copy()
-        hw = self._box_half_widths()
-        xtol = 1e-7 * (cell + 1e-12)
-        for _ in range(90):
-            improved = np.zeros(m, dtype=bool)
-            for j in range(d):
-                for sgn in (1.0, -1.0):
-                    cand = x.copy()
-                    cand[:, j] += sgn * step
-                    cand = self._project(cand)
-                    vc = self._objective(Y, cand)
-                    take = vc > v
-                    x[take] = cand[take]
-                    v[take] = vc[take]
-                    improved |= take
-            step = np.where(improved, step * 1.7, step * 0.5)
-            if hw is not None:
-                step = np.minimum(step, np.max(hw))
-            if np.all(step < xtol):
-                break
-        slack = step * (np.sum(np.abs(Y), axis=1) + 1.0)
-        return x, v, slack
+
+def pattern_search(f, x, v, cell, project, cap):
+    """Coordinate pattern search, one maximization per row of ``x``.
+
+    ``f(rows, X)`` returns the objective at the points X of the problems
+    ``rows``; row i starts at ``x[i]``, whose objective is ``v[i]``. A pass
+    tries a step of +-step along every axis and keeps each gain; the row's
+    step then grows 1.7x after a gain and halves otherwise, at most to
+    ``cap``. A row stops on its own once its step is below 1e-7 of
+    ``cell[i]``, or after 90 passes; each pass evaluates only the rows
+    still running. Returns the best points, their objectives and the last
+    steps.
+    """
+    d = x.shape[1]
+    x, v, step = x.copy(), v.copy(), cell.copy()
+    xtol = 1e-7 * (cell + 1e-12)
+    rows = np.arange(x.shape[0])
+    for _ in range(90):
+        xr, vr, sr = x[rows], v[rows], step[rows]
+        improved = np.zeros(rows.size, dtype=bool)
+        for j in range(d):
+            for sgn in (1.0, -1.0):
+                cand = xr.copy()
+                cand[:, j] += sgn * sr
+                cand = project(cand)
+                vc = f(rows, cand)
+                take = vc > vr
+                xr[take] = cand[take]
+                vr[take] = vc[take]
+                improved |= take
+        sr = np.minimum(np.where(improved, sr * 1.7, sr * 0.5), cap)
+        x[rows], v[rows], step[rows] = xr, vr, sr
+        rows = rows[sr >= xtol[rows]]
+        if rows.size == 0:
+            break
+    return x, v, step
 
 
 def conjugate(phi: YoungFunction, y) -> ConjugateValue:
@@ -273,44 +294,28 @@ def _fd_grad(phi: YoungFunction, pts: np.ndarray) -> np.ndarray:
 def biconjugate_residual(phi: YoungFunction, probes) -> float:
     """max over probes of |phi**(lam) - phi(lam)|.
 
-    Conjugates twice: the outer ascent over y uses the identity
-    grad phi*(y) = argmax x(y), warm-starting the inner solve at each step.
-    A small residual certifies that the evaluator resolves this source
-    function (Fenchel-Moreau: phi** = phi for closed convex phi).
+    Conjugates twice: the outer ascent over y runs ``bb_ascent`` on
+    (lam, y) - phi*(y), whose gradient is lam - argmax x(y), and each of its
+    inner solves is warm-started at the previous argmax. A small residual
+    certifies that the evaluator resolves this source function
+    (Fenchel-Moreau: phi** = phi for closed convex phi).
     """
     ev = ConjugateEvaluator(phi)
     lam = np.atleast_2d(np.asarray(probes, dtype=float))
     target = phi.value(lam)
-    y = phi.grad(lam).copy() if phi.has_gradient else _fd_grad(phi, lam)
-    inner = ev.values(y)
-    h_val = np.einsum("ij,ij->i", lam, y) - inner.values
-    best_v = np.maximum(h_val, 0.0)                   # y = 0 gives h = 0
-    best_y = y.copy()
-    x_warm = inner.argmax
-    g = lam - x_warm
-    alpha = 1e-3 / (1.0 + np.linalg.norm(g, axis=1))
-    y_prev, g_prev = y, g
-    y = y + alpha[:, None] * g
-    for _ in range(60):
-        inner = ev.values(y, x0=x_warm)
-        x_warm = inner.argmax
-        h_val = np.einsum("ij,ij->i", lam, y) - inner.values
-        better = h_val > best_v
-        best_v[better] = h_val[better]
-        best_y[better] = y[better]
-        g = lam - x_warm
-        s = y - y_prev
-        yv = g_prev - g
-        sy = np.einsum("ij,ij->i", s, yv)
-        ss = np.einsum("ij,ij->i", s, s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            alpha = np.where(sy > 1e-300, ss / sy, 1e-3)
-        alpha = np.clip(np.nan_to_num(alpha, nan=1e-3), 1e-12, 1e12)
-        y_prev, g_prev = y, g
-        y = y + alpha[:, None] * g
-        if np.max(np.linalg.norm(g, axis=1)) < 1e-11 * (1 + np.max(np.abs(lam))):
-            break
-    return float(np.max(np.abs(best_v - target)))
+    y = phi.grad(lam) if phi.has_gradient else _fd_grad(phi, lam)
+    x_warm = ev.values(y).argmax
+
+    def f(rows, Y):
+        inner = ev.values(Y, x0=x_warm[rows])
+        x_warm[rows] = inner.argmax
+        return (np.einsum("ij,ij->i", lam[rows], Y) - inner.values,
+                lam[rows] - inner.argmax)
+
+    _, h, _ = bb_ascent(f, y, np.full(lam.shape[0], 1e-3),
+                        1.0 + np.max(np.abs(lam), axis=1), lambda Y: Y)
+    # y = 0 gives h = 0
+    return float(np.max(np.abs(np.maximum(h, 0.0) - target)))
 
 
 def ray_inverse(phi: YoungFunction, direction, level: float) -> float:
@@ -353,28 +358,6 @@ def ray_inverse(phi: YoungFunction, direction, level: float) -> float:
     return 0.5 * (t_lo + t_hi)
 
 
-def _golden_max(f, lo: float, hi: float):
-    """Golden-section maximization of a scalar function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d_ = a + invphi * (b - a)
-    fc, fd = f(c), f(d_)
-    for _ in range(90):
-        if fc >= fd:
-            b, d_, fd = d_, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + invphi * (b - a)
-            fd = f(d_)
-        if b - a < 1e-13 * (1.0 + abs(a) + abs(b)):
-            break
-    x = c if fc >= fd else d_
-    return x, max(fc, fd)
-
-
 def log_reparam(phi: YoungFunction):
     """The reparameterized source Phi(mu) = phi(e^mu), e^mu coordinatewise.
 
@@ -394,8 +377,8 @@ def log_reparam_conjugate(phi: YoungFunction, r) -> float:
     """Conjugate of the log-reparameterized source: sup_mu ((r, mu) - phi(e^mu)).
 
     ``r`` is a positive scalar for one-dimensional sources or a length-d
-    vector. The search is grid + refine (concavity in mu is not assumed),
-    finished by golden section along the final one-dimensional bracket.
+    vector. A grid search (concavity in mu is not assumed) is polished by
+    ``pattern_search``, clipped at the grid's upper edge.
     Returns +inf when the objective keeps growing (diverged).
     """
     d = phi.dimension
@@ -436,22 +419,8 @@ def log_reparam_conjugate(phi: YoungFunction, r) -> float:
         if np.any(mu_hi > 400.0):
             return math.inf
         mu_hi = mu_hi + 3.0
-    # zoom + golden polish
-    cell = (mu_hi - _MU_LO) / (res - 1)
-    mu = best_mu.copy()
-    for _ in range(3):
-        for j in range(d):
-            lo_j = mu[j] - 2.0 * cell[j]
-            hi_j = min(mu[j] + 2.0 * cell[j], mu_hi[j])
-
-            def f1(t, j=j):
-                q = mu.copy()
-                q[j] = t
-                return float(obj(q[None, :])[0])
-
-            tj, vj = _golden_max(f1, lo_j, hi_j)
-            if vj >= best_v:
-                mu[j] = tj
-                best_v = vj
-        cell *= 0.25
-    return best_v
+    cell = float(np.max(mu_hi - _MU_LO)) / (res - 1)
+    _, best, _ = pattern_search(
+        lambda rows, M: obj(M), best_mu[None, :], np.array([best_v]),
+        np.array([cell]), lambda M: np.minimum(M, mu_hi), math.inf)
+    return float(best[0])

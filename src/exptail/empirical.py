@@ -440,6 +440,11 @@ class EmpiricalNaturalFunction:
         so the split changes no output bit.
         """
         m = pts.shape[0]
+        if m == 1:
+            # numpy sends a one-row product to gemv, whose rounding differs
+            # from that of gemm: evaluate the row in a two-row block
+            vals, trusted = self._evaluate_part(np.repeat(pts, 2, axis=0))
+            return vals[:1], trusted[:1]
         parts = min(_worker_count(), len(_row_blocks(m, self._block_rows)))
         if parts <= 1:
             return self._evaluate_part(pts)

@@ -281,13 +281,7 @@ def luxemburg_norm(s: SampleSet, N: OrliczFunction, rel_tol: float = 1e-4, *,
     if math.isinf(hi):
         return NormEstimate(math.inf, (_LUX_C_MAX, math.inf), plan,
                             flags=("exceeds_cap",))
-    lo = 0.5 * hi
-    while ok(lo):
-        hi = lo
-        lo *= 0.5
-        if lo < 1e-12 * hi or lo < 1e-300:
-            return NormEstimate(lo, (0.0, lo), plan)
-    lo, hi = bisect_monotone(ok, lo, hi, rel_tol)
+    lo, hi = bisect_monotone(ok, 0.0, hi, rel_tol)
     return NormEstimate(hi, (lo, hi), plan)
 
 

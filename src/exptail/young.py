@@ -71,6 +71,35 @@ class SupportRegion:
             lims = np.where(u == 0, np.inf, hw / np.abs(u))
         return float(np.min(lims))
 
+    def search_half_widths(self) -> Optional[np.ndarray]:
+        """Per-axis half-widths of the bounding box, pulled 1e-12 (relative)
+        inside; None when the region is the full space."""
+        if self.kind == "ball":
+            return np.full(self.dimension, self.radius * (1 - 1e-12))
+        if self.kind == "box":
+            return np.asarray(self.half_widths) * (1 - 1e-12)
+        return None
+
+    def project(self, X) -> np.ndarray:
+        """Rows of X pulled into the region shrunk by 1e-12 (relative):
+        rescaled onto the ball, or clipped to the box."""
+        hw = self.search_half_widths()
+        if self.kind == "ball":
+            r = np.linalg.norm(X, axis=-1, keepdims=True)
+            scale = np.where(r > hw[0], hw[0] / np.maximum(r, 1e-300), 1.0)
+            X = X * scale
+        elif self.kind == "box":
+            X = np.clip(X, -hw, hw)
+        return X
+
+    def scaled(self, c: float) -> "SupportRegion":
+        """The region stretched by the factor c > 0."""
+        if self.kind == "ball":
+            return SupportRegion.ball(self.dimension, self.radius * c)
+        if self.kind == "box":
+            return SupportRegion.box(tuple(h * c for h in self.half_widths))
+        return SupportRegion.full(self.dimension)
+
 
 class YoungFunction:
     """Evaluable even convex generating function with declared support.

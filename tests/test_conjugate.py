@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from exptail.conjugate import (ConjugateEvaluator, biconjugate_residual,
                                conjugate, log_reparam, log_reparam_conjugate,
                                ray_inverse)
+from exptail.empirical import Gaussian, natural_function, sample
 from exptail.errors import ParameterError
 from exptail.young import (make_bounded_support, make_custom, make_logcosh,
                            make_power, make_quadratic)
@@ -163,6 +164,31 @@ class TestBatchIndependence:
                 assert batch.values[i] == pytest.approx(want, abs=tol)
                 assert batch.values[i] <= want + 1e-12 * (1.0 + want)
 
+    @pytest.mark.parametrize("source", ["tabulated_natural", "custom_d1",
+                                        "custom_d2"])
+    def test_gradient_less_row_equals_lone_query(self, source):
+        # pattern search stops each row on its own, so a far row in the
+        # batch leaves the other rows' bits alone
+        if source == "tabulated_natural":
+            nat = natural_function(sample(Gaussian([[1.0]]), 20_000, 3))
+            phi = nat.tabulated_young()
+            Y = np.array([[0.3], [1.1], [40.0], [2.5], [-0.7]])
+        elif source == "custom_d1":
+            phi = make_custom(1, lambda x: 0.25 * np.asarray(x)[..., 0] ** 4)
+            Y = np.array([[0.3], [40.0], [-2.0], [5.0]])
+        else:
+            phi = make_custom(
+                2, lambda x: 0.25 * np.sum(np.asarray(x) ** 2, axis=-1) ** 2)
+            Y = np.array([[0.3, -0.2], [40.0, 40.0], [1.5, 2.5], [-4.0, 1.0]])
+        assert not phi.has_gradient
+        ev = ConjugateEvaluator(phi)
+        batch = ev.values(Y)
+        for i in range(Y.shape[0]):
+            alone = ev.value(Y[i])
+            assert batch.values[i] == alone.value
+            assert batch.slack[i] == alone.slack
+            assert np.array_equal(batch.argmax[i], alone.argmax)
+
     def test_logcosh_small_rows_beside_divergent_ones(self):
         # the y of a CLI `conjugate` run: the rows above 1 diverge, and their
         # ever larger search boxes must not coarsen the rows below 1, nor
@@ -282,6 +308,14 @@ class TestLogReparamConjugate:
         got = log_reparam_conjugate(phi, r)
         want = sum(0.5 * rj * math.log(rj) - 0.5 * rj for rj in r)
         assert got == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("k", [2.0, 4.0, 8.0])
+    def test_power4_d2_closed_form(self, k):
+        # Phi(mu) = (e^(2 mu_1) + e^(2 mu_2))^2 is not separable; on the
+        # diagonal r = (k, k) the supremum sits at e^(4 mu) = k / 8
+        got = log_reparam_conjugate(make_power(4.0, 1.0, 2), [k, k])
+        want = 0.5 * k * math.log(k / 8.0) - 0.5 * k
+        assert got == pytest.approx(want, rel=1e-10)
 
     def test_bounded_support_stays_finite(self):
         phi = make_bounded_support(1.0, 1.0)

@@ -203,6 +203,20 @@ class TestNaturalKernel:
         assert np.array_equal(vals, whole_vals)
         assert np.array_equal(trusted, whole_trusted)
 
+    @pytest.mark.parametrize("dist", [Gaussian(np.eye(2)),
+                                      RademacherScaled(1.0, 1),
+                                      SymmetricWeibull(4.0, 1.0, 2)],
+                             ids=["gaussian_d2", "rademacher_d1",
+                                  "weibull4_d2"])
+    def test_lone_point_equals_batch(self, dist):
+        nat = natural_function(sample(dist, 20_000, 14))
+        pts = ray_probe_plan(dist.dimension).points[::5]
+        vals, trusted = nat.evaluate_with_trust(pts)
+        for p, v, t in zip(pts, vals, trusted):
+            row_vals, row_trusted = nat.evaluate_with_trust(p[None, :])
+            assert row_vals[0] == v and row_trusted[0] == t
+            assert nat.evaluate_with_trust(p) == (v, t)
+
     def test_default_plan_peak_memory(self):
         nat = natural_function(sample(Gaussian(np.eye(2)), 20_000, 14))
         pts = ray_probe_plan(2).points
