@@ -19,7 +19,8 @@ from .empirical import (Gaussian, SampleSet, TailEstimate, empirical_variance,
                         sample, sample_sum, tail_function)
 from .errors import MissingCertificateError, ParameterError
 from .norms import NormEstimate, ProbePlan, bphi_norm
-from .young import CheckResult, YoungFunction, make_custom
+from .young import (CheckResult, YoungFunction, check_delta2_seminorm,
+                    make_custom)
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,6 @@ def transform_norm(phi: YoungFunction, A, xi_norm: float, mgf_plain,
     (the seminorm enters squared; it scales the argument, not the value),
     allowing 5% for the plan-limited measurement.
     """
-    from .young import check_delta2_seminorm
-
     A = np.atleast_2d(np.asarray(A, dtype=float))
 
     def pushed(lam):

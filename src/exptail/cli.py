@@ -202,7 +202,9 @@ def _run_conjugate(cfg: ExperimentConfig) -> tuple:
             "conjugate", inputs,
             {"phi_star": float(batch.values[i]),
              "slack": float(batch.slack[i]),
-             "diverged": bool(batch.diverged[i])},
+             "diverged": bool(batch.diverged[i]),
+             "flags": ("slack_exceeds_value"
+                       if batch.slack[i] > batch.values[i] else "")},
             cfg.seed, provenance={"phi": cfg.options["phi"]}))
     return records, 0
 

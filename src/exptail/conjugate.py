@@ -84,7 +84,8 @@ class ConjugateEvaluator:
     """Conjugation of one source function; it holds only ``phi``.
 
     The settings are fixed: a grid of ``_GRID_RES`` points per axis over the
-    support, or, when the support is unbounded, over a per-row box that
+    support's bounding box, or, when the support is the whole space, over a
+    per-row box that
     starts at the power of two 2^ceil(log2(2 (1 + max|y_i|))) and doubles
     at most ``_MAX_EXPANSIONS`` times; then ``bb_ascent`` or
     ``pattern_search``, started with the row's grid cell.
@@ -122,40 +123,37 @@ class ConjugateEvaluator:
             return np.einsum("ij,ij->i", Y, X) - self.phi.value_ext(X)
 
     def _grid_stage(self, Y):
+        # each row on its own box: the support's bounding box, searched once,
+        # or, on the whole space, a power-of-two box that doubles while the
+        # row's maximum sits on its edge and still grows; rows on the same
+        # box share one grid
         m, d = Y.shape
-        fixed = self.phi.support.search_half_widths()
+        cap = self.phi.support.search_radius()
         res = _GRID_RES.get(d, 9)
         best_val = np.zeros(m)          # x = 0 is always a candidate
         best_x = np.zeros((m, d))
         diverged = np.zeros(m, dtype=bool)
-
-        def score(rows, X):
-            val, idx = _chunked_scores(Y[rows], X, self.phi.value_ext(X))
-            take = val > best_val[rows]
-            best_val[rows[take]] = val[take]
-            best_x[rows[take]] = X[idx[take]]
-
-        if fixed is not None:
-            score(np.arange(m), box_grid(-fixed, fixed, res))
-            cell = np.full(m, float(np.max(fixed)) * 2.0 / (res - 1))
-            return best_x, best_val, cell, diverged
-        # each row on its own power-of-two box; rows on the same box share
-        # one grid, and a row stops once its maximum leaves the edge or
-        # stops growing
-        h = 2.0 ** np.ceil(np.log2(2.0 * (1.0 + np.max(np.abs(Y), axis=1))))
+        if math.isinf(cap):
+            h = 2.0 ** np.ceil(np.log2(2.0 * (1.0 + np.max(np.abs(Y), axis=1))))
+        else:
+            h = np.full(m, cap)
         active = np.ones(m, dtype=bool)
         prev_val = np.full(m, -np.inf)
         n_exp = np.zeros(m, dtype=np.int64)
         while np.any(active):
             for hv in np.unique(h[active]):
-                score(np.flatnonzero(active & (h == hv)),
-                      box_grid(-hv, np.full(d, hv), res))
+                rows = np.flatnonzero(active & (h == hv))
+                X = box_grid(-hv, np.full(d, hv), res)
+                val, idx = _chunked_scores(Y[rows], X, self.phi.value_ext(X))
+                take = val > best_val[rows]
+                best_val[rows[take]] = val[take]
+                best_x[rows[take]] = X[idx[take]]
             n_exp[active] += 1
             edge = h * (1.0 - 1.5 / (res - 1))
             on_edge = np.max(np.abs(best_x), axis=1) >= edge
             grew = best_val > prev_val + 1e-10 * (1.0 + np.abs(best_val))
             prev_val = best_val.copy()
-            active &= on_edge & grew
+            active &= on_edge & grew & (h < cap)
             diverged |= active & (n_exp >= _MAX_EXPANSIONS)
             active &= ~diverged
             h[active] *= 2.0
@@ -180,10 +178,9 @@ class ConjugateEvaluator:
             worse = start_v < val
             start[worse] = x[worse]
             start_v[worse] = val[worse]
-            hw = sup.search_half_widths()
             best_x, best_v, step = pattern_search(
                 lambda rows, X: self._objective(Y[rows], X), start, start_v,
-                cell, sup.project, math.inf if hw is None else np.max(hw))
+                cell, sup.project, sup.search_radius())
             slack = step * (np.sum(np.abs(Y), axis=1) + 1.0)
         values = best_v.copy()
         values[diverged] = np.inf
@@ -396,13 +393,8 @@ def log_reparam_conjugate(phi: YoungFunction, r) -> float:
 
     # upper edge of the mu box: support-limited or grown until the
     # objective stops improving near the boundary
-    if phi.support.bounded:
-        lims = np.array([phi.support.ray_limit(e) for e in np.eye(d)])
-        mu_hi = np.log(lims) - 1e-12
-        grow = False
-    else:
-        mu_hi = np.full(d, 3.0)
-        grow = True
+    grow = not phi.support.bounded
+    mu_hi = np.full(d, 3.0 if grow else np.log(phi.support.radius) - 1e-12)
     res = 2001 if d == 1 else (41 if d == 2 else 13)
     best_v, best_mu = -np.inf, None
     for _ in range(200):

@@ -407,10 +407,16 @@ class EmpiricalNaturalFunction:
     Samples are re-centered by their empirical mean, making evaluate(0) = 0
     exact and the value nonnegative everywhere (Jensen). A value is trusted
     when the largest single-sample term carries at most a tenth of the
-    exponential mass for the sign pattern achieving the max.
+    exponential mass for the sign pattern achieving the max. Laws failing
+    Kramer's condition (weibull p < 1, or a custom law declared without
+    one) are refused: their natural function does not exist.
     """
 
     def __init__(self, source: SampleSet):
+        if not source.natural_ok:
+            raise ParameterError(
+                f"natural function undefined for {source.distribution_tag}: "
+                "Kramer's condition fails")
         self.source = source
         self._data = source.data - source.data.mean(axis=0, keepdims=True)
         self._signs = enumerate_sign_vectors(source.dimension)
@@ -538,19 +544,11 @@ class EmpiricalNaturalFunction:
         def ev(x):
             return np.interp(np.abs(np.asarray(x)[..., 0]), grid, vals)
 
-        return make_custom(1, ev, support=SupportRegion.ball(1, lam_max),
+        return make_custom(1, ev, support=SupportRegion(lam_max),
                            hessian_at_origin=hessian,
                            params={"lam_max": lam_max, "n": self.source.n})
 
 
 def natural_function(s: SampleSet) -> EmpiricalNaturalFunction:
-    """Empirical natural function of a sample set.
-
-    Laws failing Kramer's condition (weibull p < 1, or a custom law declared
-    without one) are refused: their natural function does not exist.
-    """
-    if not s.natural_ok:
-        raise ParameterError(
-            f"natural function undefined for {s.distribution_tag}: "
-            "Kramer's condition fails")
+    """Empirical natural function of a sample set."""
     return EmpiricalNaturalFunction(s)

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .conjugate import ConjugateEvaluator, log_reparam_conjugate
-from .empirical import SampleSet
+from .empirical import SampleSet, natural_function, vector_moment
 from .errors import InsufficientProbesError, ParameterError
 from .vectors import bisect_monotone, double_until, sphere_directions
 from .young import YoungFunction
@@ -151,7 +151,7 @@ def odot(a: float, b: float, phi: YoungFunction) -> float:
     pts = ray_probe_plan(phi.dimension).points
     if phi.support.bounded:
         # rescale rows so the widest scaled copy (a+b) pts stays inside
-        lims = np.array([phi.support.ray_limit(v) for v in pts])
+        lims = phi.support.radius / np.linalg.norm(pts, axis=1)
         pts = pts * (0.9 * lims / (a + b))[:, None]
     target = phi.value_ext(a * pts) + phi.value_ext(b * pts)
 
@@ -236,7 +236,7 @@ def gls_norm_vector(moments: Callable[[np.ndarray], float],
 
 
 class OrliczFunction:
-    """N(u) = exp(phi*(u)) - exp(phi*(0)), evaluated through the conjugator.
+    """N(u) = exp(phi*(u)) - 1, evaluated through the conjugator.
 
     N is even, nonnegative, and N(0) = 0 exactly (x = 0 is always a grid
     candidate, so the computed phi*(0) is exactly 0).
@@ -245,13 +245,12 @@ class OrliczFunction:
     def __init__(self, base: YoungFunction):
         self.base = base
         self.evaluator = ConjugateEvaluator(base)
-        self._n0 = math.exp(self.evaluator.value(np.zeros(base.dimension)).value)
 
     def values(self, U) -> np.ndarray:
         U = np.atleast_2d(np.asarray(U, dtype=float))
         star = self.evaluator.values(U).values
         with np.errstate(over="ignore"):
-            return np.exp(star) - self._n0
+            return np.exp(star) - 1.0
 
     def __call__(self, u) -> float:
         return float(self.values(np.atleast_2d(u))[0])
@@ -304,8 +303,6 @@ def equivalence_report(s: SampleSet, phi: YoungFunction, *,
     heavy probe discarding (suspected non-membership), and any pairwise
     ratio leaving the band [1/50, 50].
     """
-    from .empirical import natural_function, vector_moment  # cycle guard
-
     nat = natural_function(s)
     est_b = bphi_norm(nat, phi, plan=plan)
     est_g = gls_norm_vector(lambda r: vector_moment(s, r), phi)

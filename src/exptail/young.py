@@ -1,7 +1,8 @@
 """Generating-function families and structural predicate checkers.
 
 A ``YoungFunction`` is an even convex function phi with phi(0) = 0 on an
-open, centrally symmetric support region. Every downstream computation
+open support ``SupportRegion(radius)``: the ball of that radius centered at
+0, or the whole space when the radius is inf. Every downstream computation
 (conjugation, norm bisection, tail bounds) consumes these objects through
 the same vectorized evaluation contract: points are arrays of shape
 (..., d) and values come back with shape (...).
@@ -21,84 +22,47 @@ from .vectors import (bisect_monotone, double_until, enumerate_sign_vectors,
 
 @dataclass(frozen=True)
 class SupportRegion:
-    """Open convex centrally symmetric region: full space, ball, or box."""
+    """Open ball of the given radius centered at 0; an infinite radius is
+    the whole space."""
 
-    kind: str  # "full" | "ball" | "box"
-    dimension: int
-    radius: Optional[float] = None
-    half_widths: Optional[tuple] = None
+    radius: float = math.inf
 
-    @classmethod
-    def full(cls, dimension: int) -> "SupportRegion":
-        return cls("full", dimension)
-
-    @classmethod
-    def ball(cls, dimension: int, radius: float) -> "SupportRegion":
-        if radius <= 0:
-            raise ParameterError("ball radius must be positive")
-        return cls("ball", dimension, radius=float(radius))
-
-    @classmethod
-    def box(cls, half_widths) -> "SupportRegion":
-        hw = tuple(float(h) for h in half_widths)
-        if any(h <= 0 for h in hw):
-            raise ParameterError("box half-widths must be positive")
-        return cls("box", len(hw), half_widths=hw)
+    def __post_init__(self):
+        if not self.radius > 0:
+            raise ParameterError("support radius must be positive")
 
     @property
     def bounded(self) -> bool:
-        return self.kind != "full"
+        return math.isfinite(self.radius)
 
     def contains(self, x) -> np.ndarray:
         """Boolean mask over points of shape (..., d); the region is open."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "full":
+        if not self.bounded:
             return np.ones(x.shape[:-1], dtype=bool)
-        if self.kind == "ball":
-            return np.linalg.norm(x, axis=-1) < self.radius
-        return np.all(np.abs(x) < np.asarray(self.half_widths), axis=-1)
+        return np.linalg.norm(x, axis=-1) < self.radius
 
     def ray_limit(self, direction) -> float:
         """sup{t >= 0 : t * direction inside the region} (inf when full)."""
-        u = np.asarray(direction, dtype=float)
-        if self.kind == "full":
-            return math.inf
-        if self.kind == "ball":
-            n = float(np.linalg.norm(u))
-            return math.inf if n == 0 else self.radius / n
-        hw = np.asarray(self.half_widths)
-        with np.errstate(divide="ignore"):
-            lims = np.where(u == 0, np.inf, hw / np.abs(u))
-        return float(np.min(lims))
+        n = float(np.linalg.norm(np.asarray(direction, dtype=float)))
+        return math.inf if n == 0 else self.radius / n
 
-    def search_half_widths(self) -> Optional[np.ndarray]:
-        """Per-axis half-widths of the bounding box, pulled 1e-12 (relative)
-        inside; None when the region is the full space."""
-        if self.kind == "ball":
-            return np.full(self.dimension, self.radius * (1 - 1e-12))
-        if self.kind == "box":
-            return np.asarray(self.half_widths) * (1 - 1e-12)
-        return None
+    def search_radius(self) -> float:
+        """The radius pulled 1e-12 (relative) inside; inf when full."""
+        return self.radius * (1 - 1e-12)
 
     def project(self, X) -> np.ndarray:
-        """Rows of X pulled into the region shrunk by 1e-12 (relative):
-        rescaled onto the ball, or clipped to the box."""
-        hw = self.search_half_widths()
-        if self.kind == "ball":
-            r = np.linalg.norm(X, axis=-1, keepdims=True)
-            scale = np.where(r > hw[0], hw[0] / np.maximum(r, 1e-300), 1.0)
-            X = X * scale
-        elif self.kind == "box":
-            X = np.clip(X, -hw, hw)
-        return X
+        """Rows of X rescaled onto the ball of ``search_radius()`` when they
+        lie outside it."""
+        if not self.bounded:
+            return X
+        rs = self.search_radius()
+        r = np.linalg.norm(X, axis=-1, keepdims=True)
+        return X * np.where(r > rs, rs / np.maximum(r, 1e-300), 1.0)
 
     def scaled(self, c: float) -> "SupportRegion":
         """The region stretched by the factor c > 0."""
-        if self.kind == "ball":
-            return SupportRegion.ball(self.dimension, self.radius * c)
-        if self.kind == "box":
-            return SupportRegion.box(tuple(h * c for h in self.half_widths))
-        return SupportRegion.full(self.dimension)
+        return SupportRegion(self.radius * c)
 
 
 class YoungFunction:
@@ -112,7 +76,7 @@ class YoungFunction:
                  hessian_at_origin=None, family="custom", params=None):
         self.dimension = int(dimension)
         self._evaluate = evaluate
-        self.support = support or SupportRegion.full(self.dimension)
+        self.support = support or SupportRegion()
         self._gradient = gradient
         self._hessian = None if hessian_at_origin is None else np.asarray(
             hessian_at_origin, dtype=float)
@@ -158,8 +122,7 @@ class YoungFunction:
     def hessian_at_origin(self) -> np.ndarray:
         """Second derivative matrix at 0 (finite differences if undeclared)."""
         if self._hessian is None:
-            h = 1e-5 * min(1.0, 0.25 * self.support.ray_limit(
-                np.ones(self.dimension) / math.sqrt(self.dimension)))
+            h = 1e-5 * min(1.0, 0.25 * self.support.radius)
             d = self.dimension
             H = np.empty((d, d))
             eye = np.eye(d)
@@ -264,7 +227,7 @@ def make_bounded_support(K: float, c: float) -> YoungFunction:
         a = np.abs(t)
         return (c * t * (2.0 * K - a) / (K - a) ** 2)[..., None]
 
-    return YoungFunction(1, ev, support=SupportRegion.ball(1, K), gradient=gr,
+    return YoungFunction(1, ev, support=SupportRegion(K), gradient=gr,
                          hessian_at_origin=np.array([[2.0 * c / K]]),
                          family="bounded", params={"K": K, "c": c})
 
@@ -320,7 +283,11 @@ def make_logcosh(d: int, scale: float = 1.0) -> YoungFunction:
 
 def make_custom(dimension, evaluate, support=None, gradient=None,
                 hessian_at_origin=None, params=None) -> YoungFunction:
-    """Wrap a user-supplied vectorized evaluator as a YoungFunction."""
+    """Wrap a user-supplied vectorized evaluator as a YoungFunction.
+
+    ``support`` is a ``SupportRegion(radius)``, the open ball of that radius
+    centered at 0; None means the whole space.
+    """
     return YoungFunction(dimension, evaluate, support=support,
                          gradient=gradient,
                          hessian_at_origin=hessian_at_origin,
@@ -359,7 +326,7 @@ def check_lambda2(phi: YoungFunction, trial_count: int = 10_000, *,
     lam = rng.standard_normal((trial_count, phi.dimension))
     hyp = np.sqrt(a * a + b * b)
     if phi.support.bounded:
-        lims = np.array([phi.support.ray_limit(v) for v in lam])
+        lims = phi.support.radius / np.linalg.norm(lam, axis=1)
         lam *= (0.8 * lims / np.maximum(hyp, np.maximum(a, b)))[:, None]
     lhs = phi.value_ext(a[:, None] * lam) + phi.value_ext(b[:, None] * lam)
     rhs = phi.value_ext(hyp[:, None] * lam)

@@ -234,6 +234,22 @@ class TestOtherExperiments:
         assert records[0].outputs["phi_star"] == pytest.approx(0.75, rel=1e-8)
         assert records[1].outputs["phi_star"] == 0.0
 
+    # the ascent at y = 300 overflows before it stalls: that defect is open,
+    # and this test pins only that its row is flagged
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_conjugate_flags_loose_row(self):
+        # phi*(y) = 5 (y / 6)^(6/5) for phi = |x|^6: 546.68 at y = 300, where
+        # the search stalls far below it with a slack above its value
+        cfg = ExperimentConfig.from_dict({
+            "experiment": "conjugate", "phi": "power{p=6,c=1,d=1}",
+            "y": [[8.0], [300.0]], "seed": 0})
+        exact, loose = (r.outputs for r in run(cfg)[0])
+        assert exact["phi_star"] == pytest.approx(5 * (8 / 6) ** 1.2,
+                                                  rel=1e-10)
+        assert exact["flags"] == ""
+        assert loose["slack"] > loose["phi_star"]
+        assert loose["flags"] == "slack_exceeds_value"
+
     def test_norm_spaces(self):
         cfg = ExperimentConfig.from_dict({
             "experiment": "norm", "space": "all",

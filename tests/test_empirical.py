@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from exptail.empirical import (CenteredCustom, Gaussian, RademacherScaled,
+from exptail.empirical import (CenteredCustom, EmpiricalNaturalFunction,
+                               Gaussian, RademacherScaled,
                                SymmetricWeibull, UniformBox,
                                analytic_natural_function, empirical_variance,
                                min_coordinate_tail, natural_function, sample,
@@ -409,6 +410,11 @@ class TestKramerGate:
         s = sample(SymmetricWeibull(0.5, 1.0, 1), 500, seed=2).scaled(2.0)
         with pytest.raises(ParameterError):
             natural_function(s)
+
+    def test_class_constructor_refused(self):
+        s = sample(SymmetricWeibull(0.5, 1.0, 1), 2000, seed=0)
+        with pytest.raises(ParameterError):
+            EmpiricalNaturalFunction(s)
 
 
 def _oracle_logcosh_expectation(a, t, logw):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exptail.errors import OutsideSupportError, ParameterError
-from exptail.young import (check_absolutely_even,
+from exptail.young import (SupportRegion, check_absolutely_even,
                            check_delta2_seminorm, check_lambda2, delta2_grid,
                            make_bounded_support, make_custom, make_logcosh,
                            make_power, make_quadratic, make_radial)
@@ -85,6 +85,15 @@ class TestBoundedSupport:
         with pytest.raises(OutsideSupportError):
             phi.value(np.array([1.0]))
         assert phi.value_ext(np.array([1.5])) == math.inf
+
+    def test_support_is_a_radius(self):
+        assert not SupportRegion().bounded
+        assert SupportRegion(2.0).scaled(3.0) == SupportRegion(6.0)
+        assert list(SupportRegion(1.0).contains([[0.6, 0.6], [0.6, 0.9]])) \
+            == [True, False]
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ParameterError):
+                SupportRegion(bad)
 
 
 class TestRadial:
