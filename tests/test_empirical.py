@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from exptail.empirical import (CenteredCustom, EmpiricalNaturalFunction,
-                               Gaussian, RademacherScaled,
-                               SymmetricWeibull, UniformBox,
-                               analytic_natural_function, empirical_variance,
-                               min_coordinate_tail, natural_function, sample,
-                               sample_sum, tail_function, vector_moment)
+from exptail.empirical import (_CHUNK, CenteredCustom,
+                               EmpiricalNaturalFunction, Gaussian,
+                               RademacherScaled, SymmetricWeibull, UniformBox,
+                               _chunk_windows, _logcosh_expectation,
+                               _weibull_grid, analytic_natural_function,
+                               empirical_variance, min_coordinate_tail,
+                               natural_function, sample, sample_sum,
+                               tail_function, vector_moment)
 from exptail.errors import ParameterError
 from exptail.norms import ray_probe_plan
-from exptail.vectors import enumerate_sign_vectors, log_cosh
+from exptail.vectors import EXP_FLOOR, enumerate_sign_vectors, log_cosh
 from exptail.young import check_absolutely_even
 
 N_BIG = 100_000
@@ -462,6 +464,82 @@ class TestWeibullQuadrature:
         stacked = f(lam.reshape(3, 100, 2))
         rows = np.array([f(row[None, :])[0] for row in lam])
         assert np.array_equal(stacked.ravel(), rows)
+
+
+class TestWeibullGridLimit:
+    # at lam_max = 64 these grids were too coarse: p = 1.05 and 1.2 returned
+    # about 0 for a log-MGF near 0.2, p = 1.5 was 34% high, and p = 1.001
+    # raised a bare OverflowError
+    @pytest.mark.parametrize("p", [1.001, 1.05, 1.2, 1.5])
+    def test_coarse_grid_refused(self, p):
+        with pytest.raises(ParameterError,
+                           match=rf"p={p}\b.*lam_max=64\.0"):
+            SymmetricWeibull(p, 1.0, 1).mgf_log(lam_max=64.0)
+
+    def test_small_lam_max_accepted(self):
+        f = SymmetricWeibull(1.05, 1.0, 1).mgf_log(lam_max=0.5)
+        assert f(np.zeros((1, 1)))[0] == 0.0
+
+
+def _full_grid_logcosh_expectation(a, t, logw):
+    """The kernel before windows, every row on every node; the reference."""
+    out = np.empty(a.shape[0])
+    for lo in range(0, a.shape[0], 8):
+        at = a[lo:lo + 8, None] * t
+        up = logw + at
+        m = up.max(axis=1, keepdims=True)
+        down = np.subtract(logw, at, out=at)
+        for z in (up, down):
+            z -= m
+            np.maximum(z, EXP_FLOOR, out=z)
+            np.exp(z, out=z)
+        up += down
+        out[lo:lo + 8] = m[:, 0] + np.log(0.5 * up.sum(axis=1))
+    return out
+
+
+WINDOW_LAWS = [(1.0, 1.0), (1.5, 0.2), (2.0, 1.0), (4.0, 1.0), (8.0, 2.0)]
+
+
+def _window_case(p, scale):
+    """The grid at lam_max = 64 and 601 arguments: 0, then uniform on
+    [0, 1.5 a_cap] and log-uniform on [1e-9, 1e2]."""
+    t, logw = _weibull_grid(p, scale, 64.0)
+    rng = np.random.default_rng(11)
+    a = np.concatenate([[0.0], rng.uniform(0.0, 1.5 * 64.0 * scale, 300),
+                        10.0 ** rng.uniform(-9.0, 2.0, 300)])
+    return a, t, logw
+
+
+class TestQuadratureWindows:
+    @pytest.mark.parametrize("p, scale", WINDOW_LAWS)
+    def test_window_holds_every_node_above_the_floor(self, p, scale):
+        a, t, logw = _window_case(p, scale)
+        q_lo, q_hi = _chunk_windows(a, t, logw)
+        g = logw + a[:, None] * t
+        above = g - g.max(axis=1, keepdims=True) >= EXP_FLOOR
+        k = np.arange(t.size)
+        inside = (k >= q_lo[:, None] * _CHUNK) & (k < q_hi[:, None] * _CHUNK)
+        assert not np.any(above & ~inside)
+
+    @pytest.mark.parametrize("p, scale", WINDOW_LAWS)
+    def test_drift_from_full_grid(self, p, scale):
+        a, t, logw = _window_case(p, scale)
+        real = np.isfinite(logw)
+        old = _full_grid_logcosh_expectation(a, t[real], logw[real])
+        new = _logcosh_expectation(a, t, logw)
+        # only the order of summation changed
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(new - old) <= 8.0 * eps * (1.0 + np.abs(old)))
+
+    @pytest.mark.parametrize("p, scale", WINDOW_LAWS)
+    def test_rows_do_not_depend_on_the_batch(self, p, scale):
+        a, t, logw = _window_case(p, scale)
+        a_cap = 64.0 * scale
+        mixed = np.concatenate([[0.0, 1e-12, a_cap, 3.0 * a_cap], a])
+        alone = [_logcosh_expectation(np.array([x]), t, logw)[0]
+                 for x in mixed]
+        assert np.array_equal(_logcosh_expectation(mixed, t, logw), alone)
 
 
 class TestUniformBoxMgf:
