@@ -33,6 +33,8 @@ _GRID_RES = {1: 129, 2: 65, 3: 33}
 _MAX_EXPANSIONS = 60
 #: Lower edge of the log-reparameterized search box (e^-40 is about 4e-18).
 _MU_LO = -40.0
+#: Entries per score block of the grid stage (8 MB).
+_SCORE_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -65,15 +67,20 @@ class ConjugateBatch:
 
 def _chunked_scores(Y, X, phiX):
     """Per-row argmax of Y X^T - phi(X), chunking the row dimension so that
-    a chunk's score block holds at most 4M entries."""
+    a chunk's score block holds at most ``_SCORE_BLOCK`` entries.
+
+    Every chunk is scored in place in one buffer, so a call holds one block
+    of scores at a time however many rows it has."""
     m = Y.shape[0]
     n = X.shape[0]
-    step = max(1, 4_000_000 // max(n, 1))
+    step = max(1, _SCORE_BLOCK // max(n, 1))
     best_val = np.empty(m)
     best_idx = np.empty(m, dtype=np.int64)
+    buf = np.empty((min(m, step), n))
     for lo in range(0, m, step):
         hi = min(m, lo + step)
-        scores = Y[lo:hi] @ X.T - phiX[None, :]
+        scores = np.matmul(Y[lo:hi], X.T, out=buf[:hi - lo])
+        scores -= phiX
         idx = np.argmax(scores, axis=1)
         best_idx[lo:hi] = idx
         best_val[lo:hi] = scores[np.arange(hi - lo), idx]

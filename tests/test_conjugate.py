@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from exptail.conjugate import (ConjugateEvaluator, biconjugate_residual,
 from exptail.empirical import Gaussian, natural_function, sample
 from exptail.errors import ParameterError
 from exptail.specs import young_from_spec
+from exptail.vectors import box_grid
 from exptail.young import (make_bounded_support, make_custom, make_logcosh,
                            make_power, make_quadratic)
 
@@ -26,6 +28,9 @@ def _logcosh_star(Y):
     return 0.5 * np.sum((1 + Y) * np.log1p(Y) + (1 - Y) * np.log1p(-Y),
                         axis=-1)
 
+
+# the module, which the package's conjugate() function shadows
+conjugate_module = importlib.import_module("exptail.conjugate")
 
 _B2 = np.array([[1.5, 0.3], [0.3, 1.0]])
 
@@ -225,6 +230,20 @@ class TestBatchIndependence:
         batch = ConjugateEvaluator(make_logcosh(2)).values(Y)
         assert np.allclose(batch.values[:3], _logcosh_star(Y[:3]), rtol=1e-9)
         assert list(batch.diverged) == [False, False, False, True]
+
+    def test_score_blocks_match_one_block(self, monkeypatch):
+        # 1000 rows over 4225 grid points take four blocks of 236 rows and a
+        # last one of 56, all scored in one reused buffer
+        rng = np.random.default_rng(5)
+        Y = rng.standard_normal((1000, 2)) * 3.0
+        X = box_grid(-4.0, np.full(2, 4.0), 65)
+        phiX = make_quadratic(_B2).value_ext(X)
+        scores = Y @ X.T - phiX[None, :]
+        want_idx = np.argmax(scores, axis=1)
+        monkeypatch.setattr(conjugate_module, "_SCORE_BLOCK", 1_000_000)
+        val, idx = conjugate_module._chunked_scores(Y, X, phiX)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(val, scores[np.arange(1000), want_idx])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_row_rejected(self, bad):
