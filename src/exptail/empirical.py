@@ -97,20 +97,43 @@ class SymmetricWeibull:
         Each coordinate's term has the quadrature's own rounding at 0
         subtracted, so f(0) = 0 exactly. ``_logcosh_expectation`` sums each
         coordinate over its own window of nodes, so a coordinate's value does
-        not depend on the rest of the call. Raises ParameterError when
-        lam_max needs a grid coarser than ``_WEIBULL_MAX_SPACING``, as it does
-        for p just above 1.
+        not depend on the rest of the call.
+
+        The closure integrates each distinct argument a = |lam_j| scale once:
+        it stores every finished term by a, and a call passes only the
+        arguments it has not seen, in first-seen order, to one kernel call.
+        Because a term does not depend on its batch, a stored term is the
+        very float a fresh call would return, so the store changes no bit.
+        NaN and infinite arguments are never stored. The store holds at most
+        ``_MGF_MEMO`` terms: it is emptied when a call's new terms would
+        overflow it, and a call with more new terms than that stores none.
+
+        Raises ParameterError when lam_max needs a grid coarser than
+        ``_WEIBULL_MAX_SPACING``, as it does for p just above 1.
         """
         if not self.natural_ok:
             raise ParameterError("MGF is infinite for weibull p < 1")
         s = self.scale
         t, logw = _weibull_grid(self.p, s, lam_max)
         at_zero = _logcosh_expectation(np.zeros(1), t, logw)[0]
+        memo = {}
 
         def f(lam):
             lam = np.atleast_2d(np.asarray(lam, dtype=float))
             a = np.abs(lam) * s           # scale folded into the argument
-            terms = _logcosh_expectation(a.ravel(), t, logw) - at_zero
+            keys = a.ravel().tolist()
+            # a NaN key is found by identity only: its own float object in keys
+            found = {k: memo.get(k) for k in dict.fromkeys(keys)}
+            misses = [k for k, term in found.items() if term is None]
+            if misses:
+                terms = _logcosh_expectation(np.array(misses), t, logw)
+                found.update(zip(misses, (terms - at_zero).tolist()))
+                new = {k: found[k] for k in misses if math.isfinite(k)}
+                if len(memo) + len(new) > _MGF_MEMO:
+                    memo.clear()
+                if len(new) <= _MGF_MEMO:
+                    memo.update(new)
+            terms = np.array([found[k] for k in keys])
             return np.sum(terms.reshape(a.shape), axis=-1)
 
         return f
@@ -127,6 +150,9 @@ def _logsumexp_1d(z: np.ndarray) -> float:
 #: by a third.
 _WEIBULL_NODES = 8001
 _WEIBULL_MAX_SPACING = 0.05
+
+#: Terms a Weibull ``mgf_log`` closure stores at most; a c09 law uses ~6k.
+_MGF_MEMO = 1 << 16
 
 #: Nodes per chunk of the quadrature kernel: a row's window is a run of
 #: whole chunks, and the grid is padded to a multiple of it.
@@ -161,7 +187,8 @@ def _weibull_grid(p: float, scale: float,
             f"quadrature nodes {spacing:.3g} apart, more than "
             f"{_WEIBULL_MAX_SPACING}; lower lam_max")
     t = np.linspace(1e-9, t_hi, _WEIBULL_NODES)
-    logw = math.log(p) + (p - 1.0) * np.log(t) - t**p
+    with np.errstate(over="ignore"):   # t**p = inf has weight 0 either way
+        logw = math.log(p) + (p - 1.0) * np.log(t) - t**p
     logw -= _logsumexp_1d(logw)      # normalize the discrete measure
     pad = -t.size % _CHUNK
     return np.pad(t, (0, pad)), np.pad(logw, (0, pad), constant_values=-np.inf)

@@ -1,10 +1,13 @@
+import inspect
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from exptail import empirical
 from exptail.empirical import (_CHUNK, CenteredCustom,
                                EmpiricalNaturalFunction, Gaussian,
                                RademacherScaled, SymmetricWeibull, UniformBox,
@@ -480,6 +483,15 @@ class TestWeibullGridLimit:
         f = SymmetricWeibull(1.05, 1.0, 1).mgf_log(lam_max=0.5)
         assert f(np.zeros((1, 1)))[0] == 0.0
 
+    def test_large_p_builds_without_overflow(self):
+        # 60^p overflows t**p for p above about 173; the suite turns the
+        # RuntimeWarning into an error
+        f = SymmetricWeibull(200.0, 1.0, 1).mgf_log()
+        assert f(np.zeros((1, 1)))[0] == 0.0
+        vals = f(np.linspace(0.0, 64.0, 257)[:, None])
+        assert np.all(np.isfinite(vals))
+        assert np.all(np.diff(vals) >= 0.0)
+
 
 def _full_grid_logcosh_expectation(a, t, logw):
     """The kernel before windows, every row on every node; the reference."""
@@ -540,6 +552,84 @@ class TestQuadratureWindows:
         alone = [_logcosh_expectation(np.array([x]), t, logw)[0]
                  for x in mixed]
         assert np.array_equal(_logcosh_expectation(mixed, t, logw), alone)
+
+
+MEMO_LAWS = [(1.0, 1.0), (1.5, 0.2), (4.0, 1.0)]
+
+
+def _memo(f):
+    """The store of a Weibull mgf_log closure."""
+    return inspect.getclosurevars(f).nonlocals["memo"]
+
+
+class TestWeibullMemo:
+    # the oracle is a fresh closure, whose store is empty
+    @pytest.mark.parametrize("p, scale", MEMO_LAWS)
+    def test_calls_equal_fresh_closures(self, p, scale):
+        law = SymmetricWeibull(p, scale, 2)
+        f = law.mgf_log()
+        rng = np.random.default_rng(5)
+        lam = rng.uniform(-64.0, 64.0, (6, 2))
+        new = rng.uniform(-64.0, 64.0, 3)
+        calls = [lam, lam, -lam, lam[::-1],
+                 np.array([[-0.0, lam[0, 0]], [new[0], -lam[1, 1]],
+                           [new[0], new[0]], [0.0, -new[1]]]),
+                 np.concatenate([lam, -lam]).reshape(3, 4, 2),
+                 np.array([new[2], -lam[2, 0]]),
+                 rng.uniform(-64.0, 64.0, (50, 2))]
+        for lam_call in calls:
+            assert np.array_equal(f(lam_call), law.mgf_log()(lam_call))
+
+    def test_repeats_and_sign_flips_skip_the_kernel(self, monkeypatch):
+        rows = []
+
+        def counted(a, t, logw):
+            rows.append(a.size)
+            return _logcosh_expectation(a, t, logw)
+
+        f = SymmetricWeibull(1.5, 0.2, 2).mgf_log()
+        monkeypatch.setattr(empirical, "_logcosh_expectation", counted)
+        lam = np.random.default_rng(6).uniform(-64.0, 64.0, (40, 2))
+        lam[1] = lam[0]
+        f(lam)
+        assert rows == [78]          # the repeated row is integrated once
+        f(lam)
+        f(-lam)
+        f(np.abs(lam))
+        assert rows == [78]
+        f(np.concatenate([lam, [[0.5, -lam[3, 1]]]]))
+        assert rows == [78, 1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_arguments_are_not_stored(self, bad):
+        law = SymmetricWeibull(1.5, 0.2, 2)
+        f = law.mgf_log()
+        known = np.array([[1.0, -2.0], [3.0, 4.0]])
+        f(known)
+        size = len(_memo(f))
+        lam = np.array([[bad, 1.0], [-2.0, bad], [bad, bad]])
+        for _ in range(2):
+            with warnings.catch_warnings(record=True) as got_warned:
+                warnings.simplefilter("always")
+                got = f(lam)
+            with warnings.catch_warnings(record=True) as want_warned:
+                warnings.simplefilter("always")
+                want = law.mgf_log()(lam)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert ([str(w.message) for w in got_warned]
+                    == [str(w.message) for w in want_warned])
+            assert len(_memo(f)) == size
+
+    def test_bounded_store(self, monkeypatch):
+        monkeypatch.setattr(empirical, "_MGF_MEMO", 8)
+        law = SymmetricWeibull(1.5, 0.2, 2)
+        f = law.mgf_log()
+        rng = np.random.default_rng(7)
+        for k in range(100):
+            # up to 12 new arguments, some calls more than the store holds
+            lam = rng.uniform(-64.0, 64.0, (1 + k % 6, 2))
+            assert np.array_equal(f(lam), law.mgf_log()(lam))
+            assert len(_memo(f)) <= 8
 
 
 class TestUniformBoxMgf:
