@@ -13,7 +13,8 @@ other rows of its batch as long as the source evaluates each row alone.
 The same two searches serve the biconjugate check and the
 log-reparameterized conjugate behind the moment norm. Reported values are
 always lower bounds of the true supremum (x = 0 is always a candidate, so
-phi* >= 0).
+phi* >= 0). A warm-started call polishes from the given points and
+re-solves cold every row whose polish did not converge.
 """
 from __future__ import annotations
 
@@ -54,6 +55,9 @@ class ConjugateBatch:
     argmax: np.ndarray
     slack: np.ndarray
     diverged: np.ndarray
+    #: the row's polish stopped on its own tolerance, not on its step cap;
+    #: never set on a diverged row
+    converged: np.ndarray
 
     def __getitem__(self, i) -> ConjugateValue:
         ray = None
@@ -108,20 +112,39 @@ class ConjugateEvaluator:
         return self.values(Y)[0]
 
     def values(self, Y, x0=None) -> ConjugateBatch:
-        """Batched phi* at the rows of Y, which must be finite; ``x0``
-        warm-starts the polish only."""
+        """Batched phi* at the rows of Y, which must be finite.
+
+        ``x0`` warm-starts the polish: row i starts at ``x0[i]``, with no
+        grid stage, and x = 0 stays a candidate. Only the grid stage detects
+        divergence, and a polish that stops on its step cap may sit far
+        below the supremum, so every warm row that did not converge is
+        re-solved cold within this call. For a convex phi the objective is
+        concave, so a converged warm row reaches the maximum a cold solve
+        reaches, to within the polish tolerance. Values stay lower bounds
+        of the supremum: each is the objective at a point it was evaluated.
+        """
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         if Y.shape[1] != self.phi.dimension:
             raise ParameterError("query dimension mismatch")
         if not np.all(np.isfinite(Y)):
             raise ParameterError("query rows must be finite")
-        if x0 is not None:
-            x = self.phi.support.project(
-                np.atleast_2d(np.asarray(x0, dtype=float)).copy())
-            val = self._objective(Y, x)
-            return self._polish(Y, x, val, cell=np.full(Y.shape[0], 1e-3),
-                                diverged=np.zeros(Y.shape[0], dtype=bool))
-        return self._polish(Y, *self._grid_stage(Y))
+        if x0 is None:
+            return self._polish(Y, *self._grid_stage(Y))
+        m = Y.shape[0]
+        x = self.phi.support.project(
+            np.atleast_2d(np.asarray(x0, dtype=float)).copy())
+        out = self._polish(Y, x, self._objective(Y, x), np.full(m, 1e-3),
+                           np.zeros(m, dtype=bool))
+        below = ~(out.values >= 0.0)    # x = 0 is always a candidate
+        out.values[below] = 0.0
+        out.argmax[below] = 0.0
+        redo = np.flatnonzero(~out.converged)
+        if redo.size:
+            cold = self._polish(Y[redo], *self._grid_stage(Y[redo]))
+            for field in ("values", "argmax", "slack", "diverged",
+                          "converged"):
+                getattr(out, field)[redo] = getattr(cold, field)
+        return out
 
     # -- internals ----------------------------------------------------------
 
@@ -172,7 +195,7 @@ class ConjugateEvaluator:
             def f(rows, X):
                 return self._objective(Y[rows], X), Y[rows] - self.phi.grad(X)
 
-            best_x, best_v, best_g = bb_ascent(
+            best_x, best_v, best_g, converged = bb_ascent(
                 f, x, cell, 1.0 + np.max(np.abs(Y), axis=1), sup.project)
             slack = (np.linalg.norm(best_g, axis=1) * cell
                      + 1e-14 * (1.0 + np.abs(best_v)))
@@ -185,13 +208,14 @@ class ConjugateEvaluator:
             worse = start_v < val
             start[worse] = x[worse]
             start_v[worse] = val[worse]
-            best_x, best_v, step = pattern_search(
+            best_x, best_v, step, converged = pattern_search(
                 lambda rows, X: self._objective(Y[rows], X), start, start_v,
                 cell, sup.project, sup.search_radius())
             slack = step * (np.sum(np.abs(Y), axis=1) + 1.0)
         values = best_v.copy()
         values[diverged] = np.inf
-        return ConjugateBatch(values, best_x, slack, diverged)
+        return ConjugateBatch(values, best_x, slack, diverged,
+                              converged & ~diverged)
 
 
 def bb_ascent(f, x, cell, scale, project):
@@ -203,7 +227,8 @@ def bb_ascent(f, x, cell, scale, project):
     below 1e-9 ``scale[i]`` and its step below 1e-13 (1 + max|x_i|), or
     after 240 steps; each pass evaluates only the rows still running, and
     a row's last point is evaluated too. Returns the best point of each
-    row, with its objective and gradient.
+    row, with its objective and gradient, and whether the row stopped on
+    its tolerance rather than on the step cap.
     """
     rows = np.arange(x.shape[0])
     x = project(x.copy())
@@ -213,12 +238,14 @@ def bb_ascent(f, x, cell, scale, project):
     x_prev, g_prev = x, g
     x = project(x + alpha[:, None] * g)
     stop = np.zeros(rows.size, dtype=bool)
+    converged = np.zeros(rows.size, dtype=bool)
     for it in range(241):
         v, g = f(rows, x)
         better = v > best_v[rows]
         best_v[rows[better]] = v[better]
         best_x[rows[better]] = x[better]
         best_g[rows[better]] = g[better]
+        converged[rows[stop]] = True
         if it == 240 or np.all(stop):
             break
         go = ~stop
@@ -238,7 +265,7 @@ def bb_ascent(f, x, cell, scale, project):
         stop = ((gn / scale[rows] < 1e-9)
                 & (np.max(np.abs(x - x_prev), axis=1)
                    < 1e-13 * (1.0 + np.max(np.abs(x), axis=1))))
-    return best_x, best_v, best_g
+    return best_x, best_v, best_g, converged
 
 
 def pattern_search(f, x, v, cell, project, cap):
@@ -250,8 +277,8 @@ def pattern_search(f, x, v, cell, project, cap):
     step then grows 1.7x after a gain and halves otherwise, at most to
     ``cap``. A row stops on its own once its step is below 1e-7 of
     ``cell[i]``, or after 90 passes; each pass evaluates only the rows
-    still running. Returns the best points, their objectives and the last
-    steps.
+    still running. Returns the best points, their objectives, the last
+    steps and whether each row stopped on its step tolerance.
     """
     d = x.shape[1]
     x, v, step = x.copy(), v.copy(), cell.copy()
@@ -275,7 +302,7 @@ def pattern_search(f, x, v, cell, project, cap):
         rows = rows[sr >= xtol[rows]]
         if rows.size == 0:
             break
-    return x, v, step
+    return x, v, step, step < xtol
 
 
 def conjugate(phi: YoungFunction, y) -> ConjugateValue:
@@ -316,8 +343,8 @@ def biconjugate_residual(phi: YoungFunction, probes) -> float:
         return (np.einsum("ij,ij->i", lam[rows], Y) - inner.values,
                 lam[rows] - inner.argmax)
 
-    _, h, _ = bb_ascent(f, y, np.full(lam.shape[0], 1e-3),
-                        1.0 + np.max(np.abs(lam), axis=1), lambda Y: Y)
+    _, h, _, _ = bb_ascent(f, y, np.full(lam.shape[0], 1e-3),
+                           1.0 + np.max(np.abs(lam), axis=1), lambda Y: Y)
     # y = 0 gives h = 0
     return float(np.max(np.abs(np.maximum(h, 0.0) - target)))
 
@@ -419,7 +446,7 @@ def log_reparam_conjugate(phi: YoungFunction, r) -> float:
             return math.inf
         mu_hi = mu_hi + 3.0
     cell = float(np.max(mu_hi - _MU_LO)) / (res - 1)
-    _, best, _ = pattern_search(
+    _, best, _, _ = pattern_search(
         lambda rows, M: obj(M), best_mu[None, :], np.array([best_v]),
         np.array([cell]), lambda M: np.minimum(M, mu_hi), math.inf)
     return float(best[0])

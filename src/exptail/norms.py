@@ -246,9 +246,14 @@ class OrliczFunction:
         self.base = base
         self.evaluator = ConjugateEvaluator(base)
 
-    def values(self, U) -> np.ndarray:
+    def values(self, U, x0=None, argmax=None) -> np.ndarray:
+        """N at the rows of U; ``x0`` warm-starts the conjugation, and
+        ``argmax``, if given, receives each row's maximizer."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        star = self.evaluator.values(U).values
+        batch = self.evaluator.values(U, x0=x0)
+        if argmax is not None:
+            argmax[...] = batch.argmax
+        star = batch.values
         with np.errstate(over="ignore"):
             return np.exp(star) - 1.0
 
@@ -263,6 +268,12 @@ def luxemburg_norm(s: SampleSet, N: OrliczFunction, rel_tol: float = 1e-4, *,
     The predicate is monotone in c (N even, nondecreasing in |u|). An
     optional deterministic subsample caps the per-iteration conjugation
     cost for large sample sets.
+
+    Each step warm-starts its conjugation at the last step's maximizers
+    scaled by c_prev / c, exact for a quadratic phi. The first step, and a
+    step after an infinite N value (a diverged row or an overflow), run
+    cold. The evaluator re-solves cold each warm row that did not converge,
+    so N stays a lower bound that reaches the cold maximum.
     """
     data = s.data
     if subsample is not None and data.shape[0] > subsample:
@@ -271,8 +282,14 @@ def luxemburg_norm(s: SampleSet, N: OrliczFunction, rel_tol: float = 1e-4, *,
     if np.all(data == 0.0):
         return NormEstimate(0.0, (0.0, 0.0), plan)
 
+    argmax = np.empty_like(data, dtype=float)
+    warm_c = None                       # the c whose maximizers are in argmax
+
     def ok(c: float) -> bool:
-        vals = N.values(data / c)
+        nonlocal warm_c
+        x0 = None if warm_c is None else argmax * (warm_c / c)
+        vals = N.values(data / c, x0=x0, argmax=argmax)
+        warm_c = None if np.any(np.isinf(vals)) else c
         mean = float(np.mean(vals))
         return math.isfinite(mean) and mean <= 1.0
 

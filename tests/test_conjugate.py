@@ -252,6 +252,39 @@ class TestBatchIndependence:
             ev.values(np.array([[0.5, 0.5], [bad, 0.0]]))
 
 
+class TestWarmStart:
+    def test_warm_start_keeps_divergence(self):
+        # the warm polish alone climbs the rows with |y| > 1 for a while and
+        # stops at a finite value; those rows must be re-solved cold
+        ev = ConjugateEvaluator(make_logcosh(1))
+        Y = np.array([[0.5], [1.5], [-3.0]])
+        cold = ev.values(Y)
+        warm = ev.values(Y, x0=np.array([[0.4], [0.6], [-1.0]]))
+        assert list(warm.diverged) == [False, True, True]
+        assert list(warm.values[1:]) == [math.inf, math.inf]
+        assert warm.values[0] == pytest.approx(cold.values[0], rel=1e-12)
+
+    def test_converged_flags(self):
+        rng = np.random.default_rng(4)
+        Y = rng.standard_normal((50, 2)) * 3.0
+        assert np.all(ConjugateEvaluator(make_quadratic(_B2)).values(Y)
+                      .converged)
+        Y = np.array([[0.25], [0.9], [1.5], [-1.2]])
+        batch = ConjugateEvaluator(make_logcosh(1)).values(Y)
+        assert list(batch.converged) == [True, True, False, False]
+
+    def test_gradient_less_converged_flags(self):
+        # a source without a gradient is polished by pattern search
+        phi = make_custom(1, lambda x: np.asarray(x)[..., 0] ** 2)
+        Y = np.array([[0.5], [-2.0]])
+        batch = ConjugateEvaluator(phi).values(Y)
+        assert np.all(batch.converged)
+        assert np.allclose(batch.values, Y[:, 0] ** 2 / 4.0, rtol=1e-9)
+        lin = make_custom(1, lambda x: np.abs(np.asarray(x)[..., 0]))
+        batch = ConjugateEvaluator(lin).values(np.array([[0.5], [2.0]]))
+        assert list(batch.converged) == [True, False]
+
+
 class TestBiconjugate:
     def test_quadratic_residual(self):
         phi = make_quadratic(np.eye(2))
