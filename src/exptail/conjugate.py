@@ -3,7 +3,8 @@
 The conjugate phi*(y) = sup_x ((x, y) - phi(x)) is computed in two stages.
 A grid stage scores each row on a grid over the support, or, when the
 support is unbounded, on its own box that doubles while the row's maximum
-sits on the edge and still grows. A local search then polishes each row:
+sits on the edge and still grows; a row that grows through every doubling
+is diverged, +inf. A local search then polishes every other row:
 ``bb_ascent`` (projected Barzilai-Borwein) when the source has a gradient,
 ``pattern_search`` (coordinate pattern search) otherwise. The pattern
 search stays for kinked sources such as a tabulated natural function,
@@ -190,6 +191,19 @@ class ConjugateEvaluator:
         return best_x, best_val, h * 2.0 / (res - 1), diverged
 
     def _polish(self, Y, x, val, cell, diverged):
+        # a diverged row is +inf whatever a polish does: it keeps its grid
+        # point, whose direction is the escaping ray, and a slack of 0
+        m = Y.shape[0]
+        out = ConjugateBatch(np.full(m, np.inf), x.copy(), np.zeros(m),
+                             diverged, np.zeros(m, dtype=bool))
+        live = np.flatnonzero(~diverged)
+        if live.size:
+            (out.values[live], out.argmax[live], out.slack[live],
+             out.converged[live]) = self._polish_rows(
+                Y[live], x[live], val[live], cell[live])
+        return out
+
+    def _polish_rows(self, Y, x, val, cell):
         sup = self.phi.support
         if self.phi.has_gradient:
             def f(rows, X):
@@ -212,10 +226,7 @@ class ConjugateEvaluator:
                 lambda rows, X: self._objective(Y[rows], X), start, start_v,
                 cell, sup.project, sup.search_radius())
             slack = step * (np.sum(np.abs(Y), axis=1) + 1.0)
-        values = best_v.copy()
-        values[diverged] = np.inf
-        return ConjugateBatch(values, best_x, slack, diverged,
-                              converged & ~diverged)
+        return best_v, best_x, slack, converged
 
 
 def bb_ascent(f, x, cell, scale, project):

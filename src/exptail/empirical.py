@@ -89,33 +89,40 @@ class SymmetricWeibull:
         return self.scale**2 * math.gamma(1.0 + 2.0 / self.p)
 
     def mgf_log(self, lam_max: float = 64.0) -> Callable:
-        """Quadrature log-MGF (per coordinate, summed); needs p >= 1.
+        """Log-MGF (per coordinate, summed); needs p >= 1.
 
-        The grid of ``_weibull_grid`` is fixed at closure creation (sized for
-        coordinates |lam| <= lam_max) and its weights are normalized to a
-        probability measure, so repeated calls see one consistent function.
-        Each coordinate's term has the quadrature's own rounding at 0
-        subtracted, so f(0) = 0 exactly. ``_logcosh_expectation`` sums each
-        coordinate over its own window of nodes, so a coordinate's value does
-        not depend on the rest of the call.
+        For p = 1 the magnitude is exponential and each coordinate's term is
+        the closed form -log1p(-a^2) of ``_exponential_logcosh``, +inf for
+        a = |lam_j| scale >= 1. For p > 1 it is the quadrature of
+        ``_logcosh_expectation`` on the grid of ``_weibull_grid``, fixed at
+        closure creation (sized for coordinates |lam| <= lam_max), whose
+        weights form a probability measure, so repeated calls see one
+        consistent function with f(0) = 0 exactly. Each coordinate's term is
+        computed on its own, so it does not depend on the rest of the call.
 
-        The closure integrates each distinct argument a = |lam_j| scale once:
-        it stores every finished term by a, and a call passes only the
-        arguments it has not seen, in first-seen order, to one kernel call.
-        Because a term does not depend on its batch, a stored term is the
-        very float a fresh call would return, so the store changes no bit.
-        NaN and infinite arguments are never stored. The store holds at most
+        The closure integrates each distinct argument a once: it stores
+        every finished term by a, and a call passes only the arguments it
+        has not seen, in first-seen order, to one kernel call. Because a
+        term does not depend on its batch, a stored term is the very float
+        a fresh call would return, so the store changes no bit. NaN and
+        infinite arguments are never stored. The store holds at most
         ``_MGF_MEMO`` terms: it is emptied when a call's new terms would
         overflow it, and a call with more new terms than that stores none.
 
-        Raises ParameterError when lam_max needs a grid coarser than
-        ``_WEIBULL_MAX_SPACING``, as it does for p just above 1.
+        Raises ParameterError when lam_max needs a grid of more than
+        ``_WEIBULL_NODES`` nodes, as it does for p just above 1.
         """
         if not self.natural_ok:
             raise ParameterError("MGF is infinite for weibull p < 1")
         s = self.scale
-        t, logw = _weibull_grid(self.p, s, lam_max)
-        at_zero = _logcosh_expectation(np.zeros(1), t, logw)[0]
+        if self.p == 1.0:
+            kernel = _exponential_logcosh
+        else:
+            t, logw = _weibull_grid(self.p, s, lam_max)
+
+            def kernel(a):
+                return _logcosh_expectation(a, t, logw)
+
         memo = {}
 
         def f(lam):
@@ -126,8 +133,7 @@ class SymmetricWeibull:
             found = {k: memo.get(k) for k in dict.fromkeys(keys)}
             misses = [k for k, term in found.items() if term is None]
             if misses:
-                terms = _logcosh_expectation(np.array(misses), t, logw)
-                found.update(zip(misses, (terms - at_zero).tolist()))
+                found.update(zip(misses, kernel(np.array(misses)).tolist()))
                 new = {k: found[k] for k in misses if math.isfinite(k)}
                 if len(memo) + len(new) > _MGF_MEMO:
                     memo.clear()
@@ -139,134 +145,91 @@ class SymmetricWeibull:
         return f
 
 
-def _logsumexp_1d(z: np.ndarray) -> float:
-    m = float(np.max(z))
-    return m + math.log(float(np.sum(np.exp(z - m))))
-
-
-#: Nodes of the Weibull quadrature grid, and the widest spacing allowed
-#: between them: the laws the callers use need at most 0.036, while
-#: p = 1.5, scale = 1 at lam_max = 64 would need 0.91 and miss the log-MGF
-#: by a third.
+#: Most nodes of a Weibull quadrature grid. At lam_max = 64 the envelope's
+#: laws, p = 1.5 at scale 0.2 and p = 4 at scale 1, need 874 and 389, while
+#: p = 1.5 at scale 1 would need 10,730.
 _WEIBULL_NODES = 8001
-_WEIBULL_MAX_SPACING = 0.05
 
 #: Terms a Weibull ``mgf_log`` closure stores at most; a c09 law uses ~6k.
+#: A row of ``_logcosh_expectation`` does not depend on its batch, so a
+#: stored term is the float a fresh call returns.
 _MGF_MEMO = 1 << 16
 
-#: Nodes per chunk of the quadrature kernel: a row's window is a run of
-#: whole chunks, and the grid is padded to a multiple of it.
-_CHUNK = 64
-
 #: Elements per quadrature block (512 KB per temporary), so that a block's
-#: temporaries fit a 2 MB L2 cache; on a 2-core Xeon with that cache, 1 MB
-#: blocks ran the envelope bound about 25% slower. A block spans the union
-#: of its rows' windows, so it holds as many rows as fit at that width.
+#: temporaries fit a 2 MB L2 cache.
 _QUADRATURE_BLOCK = 1 << 16
+
+
+def _exponential_logcosh(a: np.ndarray) -> np.ndarray:
+    """log E cosh(a T) = -log1p(-a^2) for T ~ Exp(1), +inf where a >= 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = -np.log1p(-a * a)
+    out[a >= 1.0] = np.inf
+    return out
 
 
 def _weibull_grid(p: float, scale: float,
                   lam_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t and normalized log-weights logw of the Weibull(p) quadrature.
+    """Nodes t and normalized log-weights logw of the Weibull(p) quadrature,
+    p > 1.
 
-    The nodes are a linspace up to max(60, 4 t*), where t* = (a/p)^(1/(p-1))
-    is the peak of the integrand of E cosh(a M) at the largest argument
-    a = lam_max * scale. Both arrays are padded to whole chunks with nodes
-    of weight 0 (logw = -inf, t = 0).
+    It is the trapezoid rule in x = log t, where the density of T is
+    p e^(px - e^(px)): analytic and decaying at both ends, so the rule
+    converges geometrically as the spacing h shrinks (Trefethen & Weideman,
+    "The exponentially convergent trapezoidal rule", SIAM Review 2014).
+    The nodes run from x = -40/p to log max(60, 4 t*), where t* =
+    (a/p)^(1/(p-1)) is the peak of the integrand of E cosh(a T) at the
+    largest argument a = lam_max * scale; the integrand is negligible at
+    both ends. h = min(0.05, sigma / 1.25, 1 / (1.25 p)) resolves the
+    density's peak, of width about 1/p in x, and the integrand's peak at
+    a, of width sigma = (p (p-1) t*^p)^(-1/2).
     """
-    a_cap = lam_max * scale
-    try:
-        t_star = (max(a_cap, 1e-9) / p) ** (1.0 / (p - 1.0)) if p > 1 else a_cap
-    except OverflowError:
-        t_star = math.inf
-    t_hi = max(60.0, 4.0 * t_star)
-    spacing = t_hi / (_WEIBULL_NODES - 1)
-    if not spacing <= _WEIBULL_MAX_SPACING:
+    log_t_star = math.log(max(lam_max * scale, 1e-9) / p) / (p - 1.0)
+    x_lo = -40.0 / p
+    x_hi = max(math.log(60.0), math.log(4.0) + log_t_star)
+    log_sigma = -0.5 * (math.log(p * (p - 1.0)) + p * log_t_star)
+    h = min(0.05, math.exp(min(log_sigma, 0.0)) / 1.25, 1.0 / (1.25 * p))
+    if not x_hi - x_lo <= (_WEIBULL_NODES - 1) * h:
         raise ParameterError(
             f"weibull p={p} with lam_max={lam_max} and scale={scale} needs "
-            f"quadrature nodes {spacing:.3g} apart, more than "
-            f"{_WEIBULL_MAX_SPACING}; lower lam_max")
-    t = np.linspace(1e-9, t_hi, _WEIBULL_NODES)
-    with np.errstate(over="ignore"):   # t**p = inf has weight 0 either way
-        logw = math.log(p) + (p - 1.0) * np.log(t) - t**p
-    logw -= _logsumexp_1d(logw)      # normalize the discrete measure
-    pad = -t.size % _CHUNK
-    return np.pad(t, (0, pad)), np.pad(logw, (0, pad), constant_values=-np.inf)
-
-
-def _chunk_windows(a: np.ndarray, t: np.ndarray,
-                   logw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's window [lo, hi) of chunks of the padded grid (t, logw).
-
-    The window holds every node where g = logw + a t is within EXP_FLOOR of
-    the row's maximum M. It is read off the first node of each chunk: the
-    nodes j C with g >= M_c + EXP_FLOOR, M_c their largest value, form one
-    run j_lo..j_hi, and the window spans chunks j_lo - 1 to j_hi. Proof: for
-    p >= 1, g is concave in the node index (t is a linspace), so a node k
-    past (j_hi + 1) C with g(k) >= M + EXP_FLOOR >= M_c + EXP_FLOOR would
-    put the node (j_hi + 1) C, below that level, between two nodes above it;
-    likewise before (j_lo - 1) C. Rounding cannot break this: beyond those
-    nodes g lies at least 700 below its peak, at most 8001 nodes away, so by
-    concavity it falls by at least 700 / 8001 ~ 0.09 per node, far more than
-    its rounding error.
-    """
-    g = logw[::_CHUNK] + a[:, None] * t[::_CHUNK]
-    above = g >= g.max(axis=1, keepdims=True) + EXP_FLOOR
-    lo = np.maximum(above.argmax(axis=1) - 1, 0)
-    hi = above.shape[1] - above[:, ::-1].argmax(axis=1)
-    return lo, hi
+            f"more than {_WEIBULL_NODES} quadrature nodes; lower lam_max")
+    x = x_lo + h * np.arange(math.ceil((x_hi - x_lo) / h) + 1)
+    with np.errstate(over="ignore"):   # e^(px) = inf has weight 0 either way
+        logw = p * x - np.exp(p * x)
+    logw -= math.log(np.sum(np.exp(logw)))   # a probability measure
+    return np.exp(x), logw
 
 
 def _logcosh_expectation(a: np.ndarray, t: np.ndarray,
                          logw: np.ndarray) -> np.ndarray:
-    """log sum_k w_k cosh(a t_k) per entry a >= 0, for normalized logw.
+    """log sum_k w_k cosh(a t_k) per entry a >= 0, on a grid of
+    ``_weibull_grid``.
 
-    Written as log(1/2 sum_k (e^(logw_k + a t_k) + e^(logw_k - a t_k)))
-    and shifted by each row's largest exponent m, so it needs exp only.
-    (t, logw) is a grid of ``_weibull_grid``. Each row is summed over its
-    window of ``_chunk_windows`` only: every node with logw_k + a t_k - m >=
-    EXP_FLOOR lies inside it, and so does every node whose down term
-    logw_k - a t_k (never above the up term) clears the floor; the nodes
-    left out would each add e^-700 to a total of at least 1. m is the
-    row's maximum over all nodes, since its peak lies in the window.
-
-    A block of rows is evaluated on the union of its rows' windows, chunk by
-    chunk: the chunks outside a row's own window are set to exactly 0.0
-    before the chunk sums are added in sequence, so the leading and trailing
-    zeros leave a row's total, and its bits, the same in any batch.
+    As cosh u = 1 + 2 sinh^2(u/2) and the weights sum to 1, this is
+    log1p(Q) with Q = sum_k w_k 2 sinh^2(a t_k / 2) =
+    1/2 sum_k e^(logw_k + a t_k) expm1(-a t_k)^2, a sum of positive terms
+    with no cancellation; a = 0 gives exactly 0. Q is summed in log space,
+    shifted by each row's largest exponent m = max_k (logw_k + a t_k), with
+    shifted exponents floored at EXP_FLOOR, which adds at most e^-700 per
+    node to the shifted sum. Each row is summed over every node on its own, in
+    blocks of at most ``_QUADRATURE_BLOCK`` elements, so its bits do not
+    depend on the rest of the batch.
     """
     out = np.empty(a.shape[0])
-    # windows are found for as many rows as one block of first-chunk nodes
-    group = max(1, _QUADRATURE_BLOCK // (t.size // _CHUNK))
-    for first in range(0, a.shape[0], group):
-        q_lo, q_hi = _chunk_windows(a[first:first + group], t, logw)
-        width = int(q_hi.max() - q_lo.min()) * _CHUNK
-        step = max(1, _QUADRATURE_BLOCK // width)
-        for lo in range(0, q_lo.size, step):
-            hi = min(lo + step, q_lo.size)
-            out[first + lo:first + hi] = _window_block(
-                a[first + lo:first + hi], t, logw, q_lo[lo:hi], q_hi[lo:hi])
-    return out
-
-
-def _window_block(a: np.ndarray, t: np.ndarray, logw: np.ndarray,
-                  q_lo: np.ndarray, q_hi: np.ndarray) -> np.ndarray:
-    """``_logcosh_expectation`` of rows a with chunk windows [q_lo, q_hi)."""
-    c_lo, c_hi = int(q_lo.min()), int(q_hi.max())
-    nodes = slice(c_lo * _CHUNK, c_hi * _CHUNK)
-    at = a[:, None] * t[nodes]
-    up = logw[nodes] + at
-    m = up.max(axis=1, keepdims=True)
-    down = np.subtract(logw[nodes], at, out=at)
-    for z in (up, down):
-        z -= m
-        np.maximum(z, EXP_FLOOR, out=z)   # largest term is exactly 1
+    step = max(1, _QUADRATURE_BLOCK // t.size)
+    for lo in range(0, a.shape[0], step):
+        at = a[lo:lo + step, None] * t
+        z = logw + at
+        m = z.max(axis=1)
+        z -= m[:, None]
+        np.maximum(z, EXP_FLOOR, out=z)
         np.exp(z, out=z)
-    up += down
-    sums = up.reshape(a.shape[0], -1, _CHUNK).sum(axis=2)
-    q = np.arange(c_lo, c_hi)
-    sums[(q < q_lo[:, None]) | (q >= q_hi[:, None])] = 0.0
-    return m[:, 0] + np.log(0.5 * np.cumsum(sums, axis=1)[:, -1])
+        np.expm1(np.negative(at, out=at), out=at)
+        z *= np.square(at, out=at)
+        with np.errstate(divide="ignore"):   # Q = 0 at a = 0
+            log_q = m + np.log(0.5 * z.sum(axis=1))
+        out[lo:lo + step] = np.logaddexp(0.0, log_q)
+    return out
 
 
 class RademacherScaled:

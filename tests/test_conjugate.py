@@ -285,6 +285,42 @@ class TestWarmStart:
         assert list(batch.converged) == [True, False]
 
 
+class TestDivergedRowsSkipPolish:
+    @pytest.mark.parametrize("phi", [
+        make_logcosh(1),
+        make_custom(1, lambda x: np.abs(np.asarray(x)[..., 0]))],
+        ids=["bb_ascent", "pattern_search"])
+    def test_only_live_rows_are_polished(self, phi, monkeypatch):
+        search = "bb_ascent" if phi.has_gradient else "pattern_search"
+        polished = []
+        inner = getattr(conjugate_module, search)
+
+        def counted(f, x, *args):
+            polished.append(x.shape[0])
+            return inner(f, x, *args)
+
+        monkeypatch.setattr(conjugate_module, search, counted)
+        ev = ConjugateEvaluator(phi)
+        Y = np.array([[1.5], [0.5], [-3.0], [0.25]])
+        batch = ev.values(Y)
+        assert polished == [2]
+        assert list(batch.diverged) == [True, False, True, False]
+        assert list(batch.converged) == [False, True, False, True]
+        assert np.array_equal(batch.values[[0, 2]], [math.inf, math.inf])
+        assert np.array_equal(batch.slack[[0, 2]], [0.0, 0.0])
+        assert batch[0].escaping_ray[0] == 1.0
+        assert batch[2].escaping_ray[0] == -1.0
+        # the live rows are those of a batch without the diverged ones
+        alone = ev.values(Y[[1, 3]])
+        assert np.array_equal(batch.values[[1, 3]], alone.values)
+        assert np.array_equal(batch.argmax[[1, 3]], alone.argmax)
+
+    def test_all_rows_diverged(self):
+        batch = ConjugateEvaluator(make_logcosh(1)).values([[2.0], [-2.0]])
+        assert np.all(batch.diverged) and not np.any(batch.converged)
+        assert np.all(np.isinf(batch.values))
+
+
 class TestBiconjugate:
     def test_quadratic_residual(self):
         phi = make_quadratic(np.eye(2))
