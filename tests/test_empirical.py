@@ -18,7 +18,7 @@ from exptail.empirical import (CenteredCustom, EmpiricalNaturalFunction,
                                tail_function, vector_moment)
 from exptail.errors import ParameterError
 from exptail.norms import ray_probe_plan
-from exptail.vectors import EXP_FLOOR, enumerate_sign_vectors
+from exptail.vectors import EXP_FLOOR, enumerate_sign_vectors, log_cosh
 from exptail.young import check_absolutely_even
 
 N_BIG = 100_000
@@ -468,6 +468,18 @@ def _grid_case(p, scale):
     return a, t, logw
 
 
+def _log_cosh_weibull_mgf(p, scale, lam, lam_max=64.0):
+    """log sum_k w_k cosh(a t_k) as a log-sum-exp of log_cosh plus the
+    log-weights, on the grid of SymmetricWeibull.mgf_log; a reference for
+    the closure on its own grid."""
+    t, logw = _weibull_grid(p, scale, lam_max)
+    a = np.abs(np.atleast_2d(lam)) * scale
+    z = log_cosh(a.reshape(-1, 1) * t) + logw
+    m = z.max(axis=1, keepdims=True)
+    vals = m[:, 0] + np.log(np.sum(np.exp(z - m), axis=1))
+    return vals.reshape(a.shape).sum(axis=-1)
+
+
 def _full_grid_logcosh_expectation(a, t, logw):
     """log sum_k w_k cosh(a t_k) in the plain cosh form, with the up and
     down exponentials shifted by the largest; the reference."""
@@ -504,6 +516,17 @@ class TestWeibullQuadrature:
         rows = np.array([f(row[None, :])[0] for row in lam])
         assert np.array_equal(stacked.ravel(), rows)
 
+    @pytest.mark.parametrize("p, scale", [(1.5, 0.2), (4.0, 1.0)])
+    def test_matches_log_cosh_kernel(self, p, scale):
+        f = SymmetricWeibull(p, scale, 1).mgf_log(lam_max=64.0)
+        lam = np.concatenate([np.linspace(0.0, 64.0, 257),
+                              [-64.0, -3.0, 1e-12]])[:, None]
+        new, old = f(lam), _log_cosh_weibull_mgf(p, scale, lam)
+        assert np.all(np.abs(new - old) <= 1e-12 * (1.0 + np.abs(old)))
+
+
+class TestQuadratureWindows:
+    # every row sums over the whole grid, its window, in blocks of rows
     @pytest.mark.parametrize("p, scale", GRID_LAWS)
     def test_drift_from_full_grid(self, p, scale):
         # log1p of the sinh^2 sum differs from the cosh form by rounding
