@@ -77,10 +77,8 @@ def check_absolutely_monotonic(f, box: Sequence, k_max: int = 4,
         raise ParameterError("box must have positive extent per axis")
     h = widths / 64.0
     pts = box_grid(*np.transpose(box), grid_points)
-    scale = float(np.max(np.abs(np.asarray(f(pts), dtype=float)))) or 1.0
-    atol = 1e-12 * scale
-
     base = np.asarray(f(pts), dtype=float)
+    atol = 1e-12 * (float(np.max(np.abs(base))) or 1.0)
     if np.any(base < -atol):
         i = int(np.argmin(base))
         return Verdict(VIOLATED, {"k": np.zeros(d, dtype=int),

@@ -217,13 +217,8 @@ class ConjugateEvaluator:
             best_v[low] = val[low]
             best_x[low] = x[low]
         else:
-            start = sup.project(x.copy())
-            start_v = self._objective(Y, start)
-            worse = start_v < val
-            start[worse] = x[worse]
-            start_v[worse] = val[worse]
             best_x, best_v, step, converged = pattern_search(
-                lambda rows, X: self._objective(Y[rows], X), start, start_v,
+                lambda rows, X: self._objective(Y[rows], X), x, val,
                 cell, sup.project, sup.search_radius())
             slack = step * (np.sum(np.abs(Y), axis=1) + 1.0)
         return best_v, best_x, slack, converged
@@ -430,11 +425,11 @@ def log_reparam_conjugate(phi: YoungFunction, r) -> float:
     if np.any(r_vec <= 0):
         raise ParameterError("r must be positive")
 
+    source = log_reparam(phi)
+
     def obj(mu):
         mu = np.atleast_2d(mu)
-        with np.errstate(over="ignore"):
-            lam = np.exp(mu)
-        return mu @ r_vec - phi.value_ext(lam)
+        return mu @ r_vec - source(mu)
 
     # upper edge of the mu box: support-limited or grown until the
     # objective stops improving near the boundary

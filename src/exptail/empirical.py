@@ -97,8 +97,11 @@ class SymmetricWeibull:
         ``_logcosh_expectation`` on the grid of ``_weibull_grid``, fixed at
         closure creation (sized for coordinates |lam| <= lam_max), whose
         weights form a probability measure, so repeated calls see one
-        consistent function with f(0) = 0 exactly. Each coordinate's term is
-        computed on its own, so it does not depend on the rest of the call.
+        consistent function with f(0) = 0 exactly. A coordinate with
+        |lam| scale > lam_max scale, infinite ones included, has the term
+        +inf, as the grid would read it low; NaN stays NaN. Each
+        coordinate's term is computed on its own, so it does not depend on
+        the rest of the call.
 
         The closure integrates each distinct argument a once: it stores
         every finished term by a, and a call passes only the arguments it
@@ -119,9 +122,14 @@ class SymmetricWeibull:
             kernel = _exponential_logcosh
         else:
             t, logw = _weibull_grid(self.p, s, lam_max)
+            a_max = lam_max * s
 
             def kernel(a):
-                return _logcosh_expectation(a, t, logw)
+                # past the sized grid the quadrature reads low: +inf there
+                out = np.where(a > a_max, np.inf, np.nan)
+                inside = a <= a_max
+                out[inside] = _logcosh_expectation(a[inside], t, logw)
+                return out
 
         memo = {}
 
@@ -463,16 +471,6 @@ def _split(m: int, count: int) -> list:
     return [(i * m // count, (i + 1) * m // count) for i in range(count)]
 
 
-def _row_blocks(m: int, rows: int) -> list:
-    """Bounds of near-equal blocks of at most ``rows`` of m rows (two or
-    three where ``rows`` is 1).
-
-    No block has one row unless m = 1: numpy sends a one-row product to
-    gemv, whose rounding differs from that of gemm.
-    """
-    return _split(m, min(-(-m // rows), max(1, m // 2)))
-
-
 def _worker_count() -> int:
     """CPUs this process may run on."""
     try:
@@ -490,6 +488,11 @@ class EmpiricalNaturalFunction:
     exponential mass for the sign pattern achieving the max. Laws failing
     Kramer's condition (weibull p < 1, or a custom law declared without
     one) are refused: their natural function does not exist.
+
+    Each of a point's 2^d sign flips is a row of one batch, and the batch
+    runs through the log-sum-exp in blocks of at least two rows. A
+    one-row product would go to BLAS gemv, whose rounding differs from that
+    of gemm, so with two rows a point's value does not depend on its batch.
     """
 
     def __init__(self, source: SampleSet):
@@ -501,7 +504,7 @@ class EmpiricalNaturalFunction:
         self._data = source.data - source.data.mean(axis=0, keepdims=True)
         self._signs = enumerate_sign_vectors(source.dimension)
         self._block_rows = max(
-            1, _NATURAL_BLOCK // min(self._data.shape[0], _NATURAL_SAMPLE_CHUNK))
+            2, _NATURAL_BLOCK // min(self._data.shape[0], _NATURAL_SAMPLE_CHUNK))
         self.dimension = source.dimension
 
     def evaluate(self, lam):
@@ -520,18 +523,15 @@ class EmpiricalNaturalFunction:
         return vals, trusted
 
     def _evaluate_block(self, pts):
-        """Split the points into one contiguous part per usable CPU.
+        """Split the points into one contiguous part per usable CPU, at most
+        one per row block of their sign flips.
 
-        A row's value does not depend on the part or block that holds it,
+        A point's value does not depend on the part or block that holds it,
         so the split changes no output bit.
         """
         m = pts.shape[0]
-        if m == 1:
-            # numpy sends a one-row product to gemv, whose rounding differs
-            # from that of gemm: evaluate the row in a two-row block
-            vals, trusted = self._evaluate_part(np.repeat(pts, 2, axis=0))
-            return vals[:1], trusted[:1]
-        parts = min(_worker_count(), len(_row_blocks(m, self._block_rows)))
+        blocks = -(-m * len(self._signs) // self._block_rows)
+        parts = min(_worker_count(), m, blocks)
         if parts <= 1:
             return self._evaluate_part(pts)
         # imported on first use: with logging it adds about 3 ms and 0.7 MB
@@ -544,50 +544,45 @@ class EmpiricalNaturalFunction:
                 np.concatenate([trusted for _, trusted in done]))
 
     def _evaluate_part(self, pts):
-        """Values and trust flags of a run of points, one row block at a time,
-        with the block's products and exponentials in buffers reused across
-        blocks."""
+        """Values and trust flags of a run of points, whose flips are
+        consecutive rows, one row block at a time with buffers reused across
+        blocks; each point keeps its largest flip, the first one on ties."""
         data = self._data
-        n = data.shape[0]
-        m = pts.shape[0]
-        blocks = _row_blocks(m, self._block_rows)
+        n, d = data.shape
+        flips = (pts[:, None, :] * self._signs).reshape(-1, d)
+        rows = flips.shape[0]
+        blocks = _split(rows, -(-rows // self._block_rows))
         height = max((hi - lo for lo, hi in blocks), default=0)
         width = min(n, _NATURAL_SAMPLE_CHUNK)
         prod = np.empty(height * width)
         terms = np.empty(height * width, dtype=np.float32)
-        best = np.full((m,), -np.inf)
-        best_top = np.full((m,), -np.inf)
+        lme = np.empty(rows)
+        share = np.empty(rows)   # of the exponential mass in the top term
         log_n = math.log(n)
         for lo, hi in blocks:
-            P = pts[lo:hi]
-            for eps in self._signs:
-                M = np.full(hi - lo, -np.inf)
-                S = np.zeros(hi - lo)
-                top = np.full(hi - lo, -np.inf)
-                flipped = P * eps
-                for slo in range(0, n, width):
-                    shi = min(n, slo + width)
-                    size = (hi - lo) * (shi - slo)
-                    T = np.matmul(flipped, data[slo:shi].T,
-                                  out=prod[:size].reshape(hi - lo, shi - slo))
-                    cm = T.max(axis=1)
-                    top = np.maximum(top, cm)
-                    M_new = np.maximum(M, cm)
-                    # shifted terms are <= 0; float32 exp is several times
-                    # faster and its 1e-7 rounding sits far below MC noise.
-                    # The cast rounds each float64 difference once.
-                    E = np.subtract(T, M_new[:, None], casting="same_kind",
-                                    out=terms[:size].reshape(T.shape))
-                    np.exp(E, out=E)
-                    S = S * np.exp(M - M_new) + E.sum(axis=1, dtype=np.float64)
-                    M = M_new
-                lse = M + np.log(S)
-                lme = lse - log_n
-                sel = lme > best[lo:hi]
-                best[lo:hi][sel] = lme[sel]
-                best_top[lo:hi][sel] = np.exp(top - lse)[sel]
-        trusted = best_top <= 0.1
-        np.maximum(best, 0.0, out=best)   # Jensen floor for centered samples
+            M = np.full(hi - lo, -np.inf)
+            S = np.zeros(hi - lo)
+            for slo in range(0, n, width):
+                shi = min(n, slo + width)
+                size = (hi - lo) * (shi - slo)
+                T = np.matmul(flips[lo:hi], data[slo:shi].T,
+                              out=prod[:size].reshape(hi - lo, shi - slo))
+                M_new = np.maximum(M, T.max(axis=1))
+                # shifted terms are <= 0; float32 exp is several times
+                # faster and its 1e-7 rounding sits far below MC noise.
+                # The cast rounds each float64 difference once.
+                E = np.subtract(T, M_new[:, None], casting="same_kind",
+                                out=terms[:size].reshape(T.shape))
+                np.exp(E, out=E)
+                S = S * np.exp(M - M_new) + E.sum(axis=1, dtype=np.float64)
+                M = M_new
+            lse = M + np.log(S)
+            lme[lo:hi] = lse - log_n
+            share[lo:hi] = np.exp(M - lse)
+        lme = lme.reshape(-1, len(self._signs))
+        pick = (np.arange(lme.shape[0]), np.argmax(lme, axis=1))
+        trusted = share.reshape(lme.shape)[pick] <= 0.1
+        best = np.maximum(lme[pick], 0.0)   # Jensen floor for centered samples
         return best, trusted
 
     def trust_radius(self, direction) -> float:

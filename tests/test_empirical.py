@@ -223,6 +223,52 @@ class TestNaturalKernel:
             assert row_vals[0] == v and row_trusted[0] == t
             assert nat.evaluate_with_trust(p) == (v, t)
 
+    @pytest.mark.parametrize("dist, n", [
+        (Gaussian([[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 2.0]]),
+         20_000),
+        (Gaussian([[1.0, 0.5], [0.5, 1.0]]), 250_000)],
+        ids=["gaussian_d3", "gaussian_d2_two_chunks"])
+    def test_lone_point_equals_batch_of_flips(self, dist, n):
+        # d = 3 gives 8 flip rows a point; n = 250k gives two sample chunks
+        # and blocks of 2 rows
+        nat = natural_function(sample(dist, n, 5))
+        assert nat._block_rows == (6 if n == 20_000 else 2)
+        pts = ray_probe_plan(dist.dimension).points[::97]
+        vals, trusted = nat.evaluate_with_trust(pts)
+        assert np.array_equal(vals, _oracle_natural(nat, pts)[0])
+        for p, v, t in zip(pts, vals, trusted):
+            assert nat.evaluate_with_trust(p) == (v, t)
+            row_vals, row_trusted = nat.evaluate_with_trust(p[None, :])
+            assert row_vals[0] == v and row_trusted[0] == t
+
+    @pytest.mark.parametrize("block_rows", [2, 3, 6, 7])
+    def test_no_block_of_one_row(self, monkeypatch, block_rows):
+        # a one-row product would go to BLAS gemv, whose rounding differs
+        split = empirical._split
+        heights = []
+
+        def recorded(m, count):
+            bounds = split(m, count)
+            heights.extend(hi - lo for lo, hi in bounds)
+            return bounds
+
+        monkeypatch.setattr(empirical, "_split", recorded)
+        for d in (1, 2, 3):
+            nat = natural_function(sample(Gaussian(np.eye(d)), 50, 3))
+            nat._block_rows = block_rows
+            for m in range(1, 12):
+                nat._evaluate_part(np.ones((m, d)))
+        assert heights and min(heights) >= 2
+
+    def test_non_finite_point_is_nan_and_untrusted(self):
+        # the per-flip `>` selection skipped NaN and read 0, trusted
+        nat = natural_function(sample(Gaussian(np.eye(2)), 2000, 1))
+        pts = np.array([[np.inf, 0.0], [np.nan, 1.0], [1.0, 1.0]])
+        with np.errstate(invalid="ignore"):
+            vals, trusted = nat.evaluate_with_trust(pts)
+        assert np.all(np.isnan(vals[:2])) and not np.any(trusted[:2])
+        assert vals[2] == nat.evaluate(pts[2]) and trusted[2]
+
     def test_default_plan_peak_memory(self):
         nat = natural_function(sample(Gaussian(np.eye(2)), 20_000, 14))
         pts = ray_probe_plan(2).points
@@ -568,6 +614,52 @@ class TestWeibullGridLimit:
         vals = f(np.linspace(0.0, 64.0, 257)[:, None])
         assert np.all(np.isfinite(vals))
         assert np.all(np.diff(vals) >= 0.0)
+
+
+class TestWeibullPastLamMax:
+    # the grid is sized for |lam| <= lam_max: past it the quadrature read
+    # 50% low at lam = 256 for p = 1.5, scale 0.2, and NaN at lam = inf
+    @pytest.mark.parametrize("p, scale", QUADRATURE_LAWS)
+    def test_infinite_past_lam_max(self, p, scale):
+        f = SymmetricWeibull(p, scale, 2).mgf_log(lam_max=64.0)
+        lam = np.array([[np.nextafter(64.0, np.inf), 0.0], [256.0, 1.0],
+                        [-1e3, -64.0], [0.5, -65.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f(lam)
+        assert np.array_equal(got, np.full(4, np.inf))
+
+    @pytest.mark.parametrize("p, scale", QUADRATURE_LAWS)
+    def test_infinite_arguments(self, p, scale):
+        f = SymmetricWeibull(p, scale, 2).mgf_log()
+        lam = np.array([[np.inf, 0.0], [-np.inf, 1.0], [np.inf, -np.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f(lam)
+        assert np.array_equal(got, np.full(3, np.inf))
+
+    def test_nan_stays_nan(self):
+        f = SymmetricWeibull(1.5, 0.2, 2).mgf_log()
+        lam = np.array([[np.nan, 0.0], [np.nan, 256.0], [np.nan, np.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f(lam)
+        assert np.all(np.isnan(got))
+
+    @pytest.mark.parametrize("p, scale, lam_max",
+                             [(1.5, 0.2, 64.0), (4.0, 1.0, 64.0),
+                              (2.0, 1.0, 8.0)])
+    def test_values_up_to_lam_max_unchanged(self, p, scale, lam_max):
+        f = SymmetricWeibull(p, scale, 1).mgf_log(lam_max=lam_max)
+        t, logw = _weibull_grid(p, scale, lam_max)
+        lam = np.concatenate([np.linspace(-lam_max, lam_max, 129),
+                              [0.0, 1e-12]])
+        want = _logcosh_expectation(np.abs(lam) * scale, t, logw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f(lam[:, None])
+        assert np.array_equal(got, want)
+        assert np.all(np.isfinite(got))
 
 
 class TestExponentialLaw:
