@@ -8,9 +8,11 @@ is diverged, +inf. A local search then polishes every other row:
 ``bb_ascent`` (projected Barzilai-Borwein) when the source has a gradient,
 ``pattern_search`` (coordinate pattern search) otherwise. The pattern
 search stays for kinked sources such as a tabulated natural function,
-where it lands closer to the vertex maximum than gradient ascent. Both
-searches stop each row on its own, so a row's value does not depend on the
-other rows of its batch as long as the source evaluates each row alone.
+where it lands closer to the vertex maximum than gradient ascent; it
+evaluates both signs of an axis, for every running row, in one call of
+the source. Both searches stop each row on its own, so a row's value does
+not depend on the other rows of its batch as long as the source evaluates
+each row alone.
 The same two searches serve the biconjugate check and the
 log-reparameterized conjugate behind the moment norm. Reported values are
 always lower bounds of the true supremum (x = 0 is always a candidate, so
@@ -279,12 +281,15 @@ def pattern_search(f, x, v, cell, project, cap):
 
     ``f(rows, X)`` returns the objective at the points X of the problems
     ``rows``; row i starts at ``x[i]``, whose objective is ``v[i]``. A pass
-    tries a step of +-step along every axis and keeps each gain; the row's
-    step then grows 1.7x after a gain and halves otherwise, at most to
-    ``cap``. A row stops on its own once its step is below 1e-7 of
-    ``cell[i]``, or after 90 passes; each pass evaluates only the rows
-    still running. Returns the best points, their objectives, the last
-    steps and whether each row stopped on its step tolerance.
+    polls every axis in turn with one call of ``f`` per axis: the k live
+    rows' points +step and -step along the axis are stacked as 2k points,
+    and ``rows`` holds the live rows twice. A row moves to its + point if
+    that gains and else to its - point if that gains. The row's step then
+    grows 1.7x after a gain and halves otherwise, at most to ``cap``. A row
+    stops on its own once its step is below 1e-7 of ``cell[i]``, or after
+    90 passes; each pass evaluates only the rows still running. Returns
+    the best points, their objectives, the last steps and whether each row
+    stopped on its step tolerance.
     """
     d = x.shape[1]
     x, v, step = x.copy(), v.copy(), cell.copy()
@@ -292,17 +297,21 @@ def pattern_search(f, x, v, cell, project, cap):
     rows = np.arange(x.shape[0])
     for _ in range(90):
         xr, vr, sr = x[rows], v[rows], step[rows]
-        improved = np.zeros(rows.size, dtype=bool)
+        k = rows.size
+        both = np.concatenate([rows, rows])
+        improved = np.zeros(k, dtype=bool)
         for j in range(d):
-            for sgn in (1.0, -1.0):
-                cand = xr.copy()
-                cand[:, j] += sgn * sr
-                cand = project(cand)
-                vc = f(rows, cand)
-                take = vc > vr
-                xr[take] = cand[take]
-                vr[take] = vc[take]
-                improved |= take
+            cand = np.concatenate([xr, xr])
+            cand[:k, j] += sr
+            cand[k:, j] -= sr
+            cand = project(cand)
+            vc = f(both, cand)
+            up = vc[:k] > vr
+            down = ~up & (vc[k:] > vr)
+            for take, lo in ((up, 0), (down, k)):
+                xr[take] = cand[lo:lo + k][take]
+                vr[take] = vc[lo:lo + k][take]
+            improved |= up | down
         sr = np.minimum(np.where(improved, sr * 1.7, sr * 0.5), cap)
         x[rows], v[rows], step[rows] = xr, vr, sr
         rows = rows[sr >= xtol[rows]]

@@ -514,10 +514,18 @@ class EmpiricalNaturalFunction:
     __call__ = evaluate
 
     def evaluate_with_trust(self, lam):
-        """Values and per-point trust flags; batched over (..., d) points."""
+        """Values and per-point trust flags; batched over (..., d) points.
+
+        A point with an infinite or NaN coordinate is NaN and untrusted; it
+        skips the kernel, where it would meet inf - inf.
+        """
         lam = np.asarray(lam, dtype=float)
         single = lam.ndim == 1
-        vals, trusted = self._evaluate_block(np.atleast_2d(lam))
+        pts = np.atleast_2d(lam)
+        ok = np.all(np.isfinite(pts), axis=1)
+        vals = np.full(pts.shape[0], np.nan)
+        trusted = np.zeros(pts.shape[0], dtype=bool)
+        vals[ok], trusted[ok] = self._evaluate_block(pts[ok])
         if single:
             return float(vals[0]), bool(trusted[0])
         return vals, trusted

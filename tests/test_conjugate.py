@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exptail.bounds import phi_bar_function
 from exptail.conjugate import (ConjugateEvaluator, biconjugate_residual,
                                conjugate, log_reparam, log_reparam_conjugate,
-                               ray_inverse)
-from exptail.empirical import Gaussian, natural_function, sample
+                               pattern_search, ray_inverse)
+from exptail.empirical import (Gaussian, SymmetricWeibull, natural_function,
+                               sample)
 from exptail.errors import ParameterError
 from exptail.specs import young_from_spec
 from exptail.vectors import box_grid
-from exptail.young import (make_bounded_support, make_custom, make_logcosh,
-                           make_power, make_quadratic)
+from exptail.young import (SupportRegion, make_bounded_support, make_custom,
+                           make_logcosh, make_power, make_quadratic)
 
 
 def _random_pd(rng, d):
@@ -319,6 +321,166 @@ class TestDivergedRowsSkipPolish:
         batch = ConjugateEvaluator(make_logcosh(1)).values([[2.0], [-2.0]])
         assert np.all(batch.diverged) and not np.any(batch.converged)
         assert np.all(np.isinf(batch.values))
+
+
+def _sequential_pattern_search(f, x, v, cell, project, cap):
+    """Reference: the pattern search that calls ``f`` once per sign of an
+    axis, the - probe starting from wherever the + probe left the row."""
+    d = x.shape[1]
+    x, v, step = x.copy(), v.copy(), cell.copy()
+    xtol = 1e-7 * (cell + 1e-12)
+    rows = np.arange(x.shape[0])
+    for _ in range(90):
+        xr, vr, sr = x[rows], v[rows], step[rows]
+        improved = np.zeros(rows.size, dtype=bool)
+        for j in range(d):
+            for sgn in (1.0, -1.0):
+                cand = xr.copy()
+                cand[:, j] += sgn * sr
+                cand = project(cand)
+                vc = f(rows, cand)
+                take = vc > vr
+                xr[take] = cand[take]
+                vr[take] = vc[take]
+                improved |= take
+        sr = np.minimum(np.where(improved, sr * 1.7, sr * 0.5), cap)
+        x[rows], v[rows], step[rows] = xr, vr, sr
+        rows = rows[sr >= xtol[rows]]
+        if rows.size == 0:
+            break
+    return x, v, step, step < xtol
+
+
+def _envelope_conjugates(p, scale):
+    # phi-bar of a Weibull law as the envelope workload builds it
+    dist = SymmetricWeibull(p, scale, 1)
+    mgf = dist.mgf_log(lam_max=64.0)
+    phi = make_custom(1, lambda x: mgf(np.atleast_2d(x)),
+                      hessian_at_origin=[[dist.coordinate_variance()]])
+    ev = ConjugateEvaluator(phi_bar_function(phi, n_max=64))
+    return lambda: ev.values(np.array([[2.0], [4.0], [6.0]]))
+
+
+def _ball_conjugates():
+    # the rows with |y| > 1 have their maximum on the edge of the ball
+    phi = make_custom(2, lambda x: 0.5 * np.sum(np.asarray(x) ** 2, axis=-1),
+                      support=SupportRegion(1.0))
+    ev = ConjugateEvaluator(phi)
+    return lambda: ev.values(np.array([[3.0, 1.0], [0.3, -0.2],
+                                       [-2.0, 2.5]]))
+
+
+_ORACLE_CASES = {
+    "phi_bar_weibull_p1.5": _envelope_conjugates(1.5, 0.2),
+    "phi_bar_weibull_p4": _envelope_conjugates(4.0, 1.0),
+    "log_reparam_ridge": lambda: log_reparam_conjugate(
+        make_quadratic([[1.0, 0.5], [0.5, 1.0]]), [1.0, 8.0]),
+    "bounded_projected": _ball_conjugates(),
+}
+
+
+def _mixed_rows():
+    """A batch of 2-D maximizations whose rows stop at different passes:
+    three quartic rows with their own first steps, and a kinked row,
+    (x, y) - |x|_1 with y_1 > 1, that climbs until the 90-pass cap."""
+    Y = np.array([[0.3, -0.2], [1.5, 2.5], [-4.0, 1.0], [2.0, 0.5]])
+    kinked = np.array([False, False, False, True])
+
+    def objective(sel):
+        def f(rows, X):
+            quartic = 0.25 * np.sum(X ** 2, axis=1) ** 2
+            kink = np.sum(np.abs(X), axis=1)
+            return (np.einsum("ij,ij->i", Y[sel][rows], X)
+                    - np.where(kinked[sel][rows], kink, quartic))
+        return f
+
+    cell = np.array([1.0, 0.05, 2.0, 0.5])
+    return objective, np.zeros((4, 2)), np.zeros(4), cell
+
+
+def _counted(f, calls):
+    def g(rows, X):
+        calls.append((rows.copy(), X.shape[0]))
+        return f(rows, X)
+    return g
+
+
+class TestPatternSearch:
+    @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+    def test_matches_sequential_oracle(self, case, monkeypatch):
+        searches = []
+        inner = conjugate_module.pattern_search
+
+        def recorded(f, x, v, cell, project, cap):
+            searches.append((f, x.copy(), v.copy(), cell.copy(), project,
+                             cap))
+            return inner(f, x, v, cell, project, cap)
+
+        monkeypatch.setattr(conjugate_module, "pattern_search", recorded)
+        _ORACLE_CASES[case]()
+        monkeypatch.undo()
+        assert searches
+        clipped = []
+        for f, x, v, cell, project, cap in searches:
+            def watched(X, project=project):
+                P = project(X)
+                clipped.append(not np.array_equal(P, X))
+                return P
+
+            got = pattern_search(f, x, v, cell, watched, cap)
+            want = _sequential_pattern_search(f, x, v, cell, project, cap)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+        if case == "bounded_projected":
+            assert any(clipped)
+
+    def test_one_call_per_axis_on_both_signs(self):
+        objective, x, v, cell = _mixed_rows()
+        calls = []
+        pattern_search(_counted(objective(np.arange(4)), calls), x, v, cell,
+                       lambda X: X, math.inf)
+        d = x.shape[1]
+        assert len(calls) % d == 0
+        passes = [calls[i:i + d] for i in range(0, len(calls), d)]
+        assert len(passes) == 90
+        live = np.arange(4)
+        for poll in passes:
+            rows = poll[0][0]
+            k = rows.size // 2
+            assert set(rows[:k]) <= set(live)
+            live = rows[:k]
+            for axis_rows, points in poll:
+                assert np.array_equal(axis_rows, np.concatenate([live, live]))
+                assert points == 2 * k
+
+    def test_plus_kept_when_both_signs_gain(self):
+        # from 0 the objective -(|x| - 1)^2 gains as much at +0.5 as at -0.5
+        def f(rows, X):
+            return -(np.abs(X[:, 0]) - 1.0) ** 2
+
+        x, v, _, converged = pattern_search(
+            f, np.zeros((1, 1)), np.array([-1.0]), np.array([0.5]),
+            lambda X: X, math.inf)
+        assert converged[0]
+        assert x[0, 0] == pytest.approx(1.0, abs=1e-6)
+        assert v[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_row_equals_lone_run(self):
+        objective, x, v, cell = _mixed_rows()
+        calls = []
+        batch = pattern_search(_counted(objective(np.arange(4)), calls), x,
+                               v, cell, lambda X: X, math.inf)
+        # each axis call holds a live row twice
+        passes = np.bincount(np.concatenate([r for r, _ in calls]),
+                             minlength=4) // (2 * x.shape[1])
+        assert len(set(passes)) == 4 and passes[3] == 90
+        assert list(batch[3]) == [True, True, True, False]
+        for i in range(4):
+            sel = np.array([i])
+            alone = pattern_search(objective(sel), x[sel], v[sel], cell[sel],
+                                   lambda X: X, math.inf)
+            for a, b in zip(batch, alone):
+                assert np.array_equal(a[i], b[0])
 
 
 class TestBiconjugate:

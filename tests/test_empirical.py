@@ -269,6 +269,24 @@ class TestNaturalKernel:
         assert np.all(np.isnan(vals[:2])) and not np.any(trusted[:2])
         assert vals[2] == nat.evaluate(pts[2]) and trusted[2]
 
+    @pytest.mark.parametrize("m", [1, 64])
+    def test_non_finite_point_raises_no_warning(self, monkeypatch, m):
+        # inf - inf in the kernel warned; a non-finite point never reaches
+        # it, so a caller needs no errstate. 64 points run as four parts.
+        monkeypatch.setattr(empirical, "_worker_count", lambda: 4)
+        nat = natural_function(sample(Gaussian(np.eye(2)), 2000, 1))
+        pts = np.geomspace(0.05, 3.0, m)[:, None] * np.array([[1.0, -0.5]])
+        pts[0] = [np.inf, 0.0]
+        if m > 1:
+            pts[[m // 2, m - 1]] = [[np.nan, 1.0], [1.0, -np.inf]]
+        ok = np.all(np.isfinite(pts), axis=1)
+        vals, trusted = nat.evaluate_with_trust(pts)
+        assert np.all(np.isnan(vals[~ok])) and not np.any(trusted[~ok])
+        if ok.any():
+            want_vals, want_trusted = nat.evaluate_with_trust(pts[ok])
+            assert np.array_equal(vals[ok], want_vals)
+            assert np.array_equal(trusted[ok], want_trusted)
+
     def test_default_plan_peak_memory(self):
         nat = natural_function(sample(Gaussian(np.eye(2)), 20_000, 14))
         pts = ray_probe_plan(2).points
