@@ -358,24 +358,24 @@ def _envelope_conjugates(p, scale):
     phi = make_custom(1, lambda x: mgf(np.atleast_2d(x)),
                       hessian_at_origin=[[dist.coordinate_variance()]])
     ev = ConjugateEvaluator(phi_bar_function(phi, n_max=64))
-    return lambda: ev.values(np.array([[2.0], [4.0], [6.0]]))
+    ev.values(np.array([[2.0], [4.0], [6.0]]))
 
 
 def _ball_conjugates():
     # the rows with |y| > 1 have their maximum on the edge of the ball
     phi = make_custom(2, lambda x: 0.5 * np.sum(np.asarray(x) ** 2, axis=-1),
                       support=SupportRegion(1.0))
-    ev = ConjugateEvaluator(phi)
-    return lambda: ev.values(np.array([[3.0, 1.0], [0.3, -0.2],
-                                       [-2.0, 2.5]]))
+    ConjugateEvaluator(phi).values(np.array([[3.0, 1.0], [0.3, -0.2],
+                                             [-2.0, 2.5]]))
 
 
+# name: a run that calls pattern_search
 _ORACLE_CASES = {
-    "phi_bar_weibull_p1.5": _envelope_conjugates(1.5, 0.2),
-    "phi_bar_weibull_p4": _envelope_conjugates(4.0, 1.0),
+    "phi_bar_weibull_p1.5": lambda: _envelope_conjugates(1.5, 0.2),
+    "phi_bar_weibull_p4": lambda: _envelope_conjugates(4.0, 1.0),
     "log_reparam_ridge": lambda: log_reparam_conjugate(
         make_quadratic([[1.0, 0.5], [0.5, 1.0]]), [1.0, 8.0]),
-    "bounded_projected": _ball_conjugates(),
+    "bounded_projected": _ball_conjugates,
 }
 
 
