@@ -2,18 +2,20 @@
 
 The conjugate phi*(y) = sup_x ((x, y) - phi(x)) is computed in two stages.
 A grid stage scores each row on a grid over the support, or, when the
-support is unbounded, on its own box that doubles while the row's maximum
-sits on the edge and still grows; a row that grows through every doubling
-is diverged, +inf. A local search then polishes every other row:
-``bb_ascent`` (projected Barzilai-Borwein) when the source has a gradient,
+support is unbounded, on its own box. The first box's half-width is at
+most 2^ceil(log2 2r), r the least radius (to a factor 2) with
+phi(r y / |y|) >= |y| r, past which the objective is negative along the
+ray of y; the box doubles while the row's maximum sits on its edge and
+still grows, and a row that grows through every doubling is diverged,
++inf. A local search then polishes every other row: ``bb_ascent``
+(projected Barzilai-Borwein) when the source has a gradient,
 ``pattern_search`` (coordinate pattern search) otherwise. The pattern
 search stays for kinked sources such as a tabulated natural function,
 where it lands closer to the vertex maximum than gradient ascent; it
 evaluates both signs of an axis, for every running row, in one call of
 the source. Both searches stop each row on its own, so a row's value does
 not depend on the other rows of its batch as long as the source evaluates
-each row alone.
-The same two searches serve the biconjugate check and the
+each row alone. The same two searches serve the biconjugate check and the
 log-reparameterized conjugate behind the moment norm. Reported values are
 always lower bounds of the true supremum (x = 0 is always a candidate, so
 phi* >= 0). A warm-started call polishes from the given points and
@@ -28,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, UnreachableLevelError
-from .vectors import bisect_monotone, box_grid
+from .vectors import bisect_rows, box_grid
 from .young import YoungFunction
 
 _GRID_RES = {1: 129, 2: 65, 3: 33}
@@ -76,14 +78,15 @@ def _chunked_scores(Y, X, phiX):
     """Per-row argmax of Y X^T - phi(X), chunking the row dimension so that
     a chunk's score block holds at most ``_SCORE_BLOCK`` entries.
 
-    Every chunk is scored in place in one buffer, so a call holds one block
-    of scores at a time however many rows it has."""
+    Every chunk is scored in place in one full-block buffer, so a call holds
+    one block of scores at a time however many rows it has, and calls on any
+    number of rows (one per box size) reuse one allocation, not a new heap."""
     m = Y.shape[0]
     n = X.shape[0]
     step = max(1, _SCORE_BLOCK // max(n, 1))
     best_val = np.empty(m)
     best_idx = np.empty(m, dtype=np.int64)
-    buf = np.empty((min(m, step), n))
+    buf = np.empty((step, n))
     for lo in range(0, m, step):
         hi = min(m, lo + step)
         scores = np.matmul(Y[lo:hi], X.T, out=buf[:hi - lo])
@@ -98,10 +101,9 @@ class ConjugateEvaluator:
     """Conjugation of one source function; it holds only ``phi``.
 
     The settings are fixed: a grid of ``_GRID_RES`` points per axis over the
-    support's bounding box, or, when the support is the whole space, over a
-    per-row box that
-    starts at the power of two 2^ceil(log2(2 (1 + max|y_i|))) and doubles
-    at most ``_MAX_EXPANSIONS`` times; then ``bb_ascent`` or
+    support's bounding box, or, on the whole space, over a per-row box sized
+    from phi along the ray of y (see the module docstring) that doubles at
+    most ``_MAX_EXPANSIONS`` times; then ``bb_ascent`` or
     ``pattern_search``, started with the row's grid cell.
     """
 
@@ -166,10 +168,7 @@ class ConjugateEvaluator:
         best_val = np.zeros(m)          # x = 0 is always a candidate
         best_x = np.zeros((m, d))
         diverged = np.zeros(m, dtype=bool)
-        if math.isinf(cap):
-            h = 2.0 ** np.ceil(np.log2(2.0 * (1.0 + np.max(np.abs(Y), axis=1))))
-        else:
-            h = np.full(m, cap)
+        h = self._first_box(Y) if math.isinf(cap) else np.full(m, cap)
         active = np.ones(m, dtype=bool)
         prev_val = np.full(m, -np.inf)
         n_exp = np.zeros(m, dtype=np.int64)
@@ -191,6 +190,20 @@ class ConjugateEvaluator:
             active &= ~diverged
             h[active] *= 2.0
         return best_x, best_val, h * 2.0 / (res - 1), diverged
+
+    def _first_box(self, Y):
+        # the smaller of 2^ceil(log2 2(1 + max|y_i|)) and 2^ceil(log2 2r), r
+        # bisected on [h 2^-60, h / 2]; y = 0 or no crossing there keeps h
+        h = 2.0 ** np.ceil(np.log2(2.0 * (1.0 + np.max(np.abs(Y), axis=1))))
+        n = np.linalg.norm(Y, axis=1)
+        u = Y / np.where(n > 0.0, n, 1.0)[:, None]
+
+        def ok(r, rows):
+            phi_r = self.phi.value_ext(r[:, None] * u[rows])
+            return (n[rows] > 0.0) & (phi_r >= n[rows] * r)
+
+        r = bisect_rows(ok, h * 2.0 ** -60, h / 2.0, 0.5, h / 2.0)[1]
+        return np.minimum(h, 2.0 ** np.ceil(np.log2(2.0 * r)))
 
     def _polish(self, Y, x, val, cell, diverged):
         # a diverged row is +inf whatever a polish does: it keeps its grid
@@ -367,9 +380,9 @@ def biconjugate_residual(phi: YoungFunction, probes) -> float:
 def ray_inverse(phi: YoungFunction, direction, level: float) -> float:
     """Solve phi(t * direction) = level for t > 0 by bracketed bisection.
 
-    The bracket grows geometrically from 1e-8 by x4 until the level is
-    straddled (capped at the support edge for bounded regions), then is
-    bisected in t down to a relative width of 1e-15.
+    One ``bisect_rows`` row from [0, 1], or from [0, limit (1 - 1e-13)] when
+    the support ends at t = limit; a level not reached below that edge (or
+    1e308) raises ``UnreachableLevelError``.
     """
     if level <= 0:
         raise ParameterError("level must be positive")
@@ -379,29 +392,16 @@ def ray_inverse(phi: YoungFunction, direction, level: float) -> float:
         raise ParameterError("direction must be nonzero")
     u = u / n
 
-    def f(t):
-        return float(phi.value_ext(t * u))
+    def ok(t, rows):
+        return phi.value_ext(t[:, None] * u) >= level
 
     limit = phi.support.ray_limit(u)
-    t_lo = 1e-8
-    while f(t_lo) > level:
-        t_lo /= 4.0
-        if t_lo < 1e-300:
-            return 0.0
-    t_hi = t_lo
-    for _ in range(600):
-        nxt = t_hi * 4.0
-        if nxt >= limit:
-            t_hi = limit * (1.0 - 1e-13)
-            break
-        t_hi = nxt
-        if f(t_hi) >= level:
-            break
-    if not f(t_hi) >= level:
+    start = limit * (1.0 - 1e-13) if math.isfinite(limit) else 1.0
+    lo, hi = bisect_rows(ok, 0.0, start, 1e-15, min(limit, 1e308))
+    if math.isinf(hi[0]):
         raise UnreachableLevelError(
             f"level {level} not reachable along the ray (support limit {limit})")
-    t_lo, t_hi = bisect_monotone(lambda t: f(t) >= level, t_lo, t_hi, 1e-15)
-    return 0.5 * (t_lo + t_hi)
+    return float(0.5 * (lo[0] + hi[0]))
 
 
 def log_reparam(phi: YoungFunction):

@@ -1,9 +1,10 @@
 """Norm computations: generating-function norm, the (+)-composition rule,
 moment (grand-Lebesgue style) norms, and the Orlicz/Luxemburg norm.
 
-Every norm here is a bisection of a monotone predicate over a finite probe
-plan, so reported values are certified against the plan (a lower bound of
-the continuum norm) together with an explicit bracket.
+The generating-function norm, the (+)-rule and the Luxemburg norm bisect a
+monotone predicate, each probe's least scale a row of ``vectors.bisect_rows``
+and the norm the largest over the probes; so a reported value is certified
+against a finite plan (a lower bound of the continuum norm), with a bracket.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 from .conjugate import ConjugateEvaluator, log_reparam_conjugate
 from .empirical import SampleSet, natural_function, vector_moment
 from .errors import InsufficientProbesError, ParameterError
-from .vectors import bisect_monotone, double_until, sphere_directions
+from .vectors import bisect_rows, sphere_directions
 from .young import YoungFunction
 
 #: Largest scale the Luxemburg bisection tries before reporting exceeds_cap.
@@ -90,42 +91,38 @@ def bphi_norm(mgf_log, phi: YoungFunction, plan: Optional[ProbePlan] = None,
     pts = pts[keep]
     vals = vals[keep]
 
-    def ok(tau: float) -> bool:
-        rhs = phi.value_ext(tau * pts)
-        return bool(np.all(vals <= rhs + 1e-12 + 1e-12 * np.abs(rhs)))
+    def least_tau(pts, vals, lo):
+        def ok(tau, rows):
+            rhs = phi.value_ext(tau[:, None] * pts[rows])
+            return vals[rows] <= rhs + 1e-12 + 1e-12 * np.abs(rhs)
 
-    def capped() -> NormEstimate:
-        return NormEstimate(math.inf, (tau_max, math.inf), plan.description,
-                            trust_flags=n_discard, flags=("exceeds_cap",))
+        return float(np.max(bisect_rows(ok, np.full(len(pts), lo), lo or 1.0,
+                                        rel_tol, tau_max)[1]))
 
-    if ok(0.0):
+    value = least_tau(pts, vals, 0.0)
+    if value == 0.0:
         return NormEstimate(0.0, (0.0, 0.0), plan.description,
                             trust_flags=n_discard)
-    hi = double_until(ok, 1.0, tau_max)
-    if math.isinf(hi):
-        return capped()
-    value = bisect_monotone(ok, 0.0, hi, rel_tol)[1]
-
-    gap = vals - phi.value_ext(value * pts)
-    lam_star = pts[int(np.argmax(gap))]
-    extra = [f * lam_star for f in (0.85, 0.95, 1.05, 1.18)]
-    jitter = 0.05 * np.linalg.norm(lam_star)
-    for k in range(4):
-        delta = np.zeros(phi.dimension)
-        delta[k % phi.dimension] = jitter * (1 if k % 2 == 0 else -1)
-        extra.append(lam_star + delta)
-    extra = np.array(extra)
-    evals, etrust = _eval_mgf(mgf_log, extra)
-    ekeep = etrust & np.isfinite(evals)
-    n_discard += int(np.sum(~ekeep))
-    if np.any(ekeep):
-        pts = np.vstack([pts, extra[ekeep]])
-        vals = np.concatenate([vals, evals[ekeep]])
-        # a value that still holds comes back unchanged
-        hi = double_until(ok, value, tau_max)
-        if math.isinf(hi):
-            return capped()
-        value = bisect_monotone(ok, value, hi, rel_tol)[1]
+    if math.isfinite(value):
+        gap = vals - phi.value_ext(value * pts)
+        lam_star = pts[int(np.argmax(gap))]
+        # four points along lam_star and four jittered by +-5% along axes
+        delta = np.zeros((4, phi.dimension))
+        delta[np.arange(4), np.arange(4) % phi.dimension] = (
+            0.05 * np.linalg.norm(lam_star) * np.array([1.0, -1.0, 1.0, -1.0]))
+        extra = np.vstack([np.outer([0.85, 0.95, 1.05, 1.18], lam_star),
+                           lam_star + delta])
+        evals, etrust = _eval_mgf(mgf_log, extra)
+        ekeep = etrust & np.isfinite(evals)
+        n_discard += int(np.sum(~ekeep))
+        # every plan probe holds at value, so only the extra ones are run
+        if np.any(ekeep):
+            value = max(value, least_tau(extra[ekeep], evals[ekeep], value))
+            pts = np.vstack([pts, extra[ekeep]])
+            vals = np.concatenate([vals, evals[ekeep]])
+    if math.isinf(value):
+        return NormEstimate(math.inf, (tau_max, math.inf), plan.description,
+                            trust_flags=n_discard, flags=("exceeds_cap",))
 
     rhs = phi.value_ext(value * pts)
     residual = float(np.max(vals - rhs))
@@ -144,10 +141,8 @@ def odot(a: float, b: float, phi: YoungFunction) -> float:
     """
     if a < 0 or b < 0:
         raise ParameterError("odot arguments must be nonnegative")
-    if a == 0.0:
-        return float(b)
-    if b == 0.0:
-        return float(a)
+    if a == 0.0 or b == 0.0:
+        return float(a + b)
     pts = ray_probe_plan(phi.dimension).points
     if phi.support.bounded:
         # rescale rows so the widest scaled copy (a+b) pts stays inside
@@ -155,14 +150,12 @@ def odot(a: float, b: float, phi: YoungFunction) -> float:
         pts = pts * (0.9 * lims / (a + b))[:, None]
     target = phi.value_ext(a * pts) + phi.value_ext(b * pts)
 
-    def ok(c: float) -> bool:
-        lhs = phi.value_ext(c * pts)
-        return bool(np.all(lhs >= target - 1e-12 - 1e-12 * np.abs(target)))
+    def ok(c, rows):
+        lhs = phi.value_ext(c[:, None] * pts[rows])
+        return lhs >= target[rows] - 1e-12 - 1e-12 * np.abs(target[rows])
 
-    lo = max(a, b)
-    if ok(lo):
-        return float(lo)
-    return float(bisect_monotone(ok, lo, a + b, 1e-6)[1])
+    lo = np.full(len(pts), max(a, b))   # a + b holds, so it is the cap
+    return float(np.max(bisect_rows(ok, lo, a + b, 1e-6, a + b)[1]))
 
 
 def gls_norm_1d(moments: Callable[[float], float], psi: Callable[[float], float],
@@ -285,19 +278,22 @@ def luxemburg_norm(s: SampleSet, N: OrliczFunction, rel_tol: float = 1e-4, *,
     argmax = np.empty_like(data, dtype=float)
     warm_c = None                       # the c whose maximizers are in argmax
 
-    def ok(c: float) -> bool:
+    def ok(c, rows):
         nonlocal warm_c
+        c = float(c[0])
+        if c == 0.0:                    # the bracket's lower end, never solved
+            return np.array([False])
         x0 = None if warm_c is None else argmax * (warm_c / c)
         vals = N.values(data / c, x0=x0, argmax=argmax)
         warm_c = None if np.any(np.isinf(vals)) else c
         mean = float(np.mean(vals))
-        return math.isfinite(mean) and mean <= 1.0
+        return np.array([math.isfinite(mean) and mean <= 1.0])
 
-    hi = double_until(ok, float(np.max(np.abs(data))) or 1.0, _LUX_C_MAX)
+    lo, hi = (float(t[0]) for t in bisect_rows(
+        ok, 0.0, float(np.max(np.abs(data))) or 1.0, rel_tol, _LUX_C_MAX))
     if math.isinf(hi):
         return NormEstimate(math.inf, (_LUX_C_MAX, math.inf), plan,
                             flags=("exceeds_cap",))
-    lo, hi = bisect_monotone(ok, 0.0, hi, rel_tol)
     return NormEstimate(hi, (lo, hi), plan)
 
 

@@ -1,6 +1,6 @@
 """Sign-vector combinatorics, octant geometry, log-space accumulation, and
-the numerical primitives every other module shares: monotone bisection,
-box grids, and a stable log-cosh.
+the numerical primitives every other module shares: a row-wise monotone
+bisection, box grids, and a stable log-cosh.
 
 Everything here is a pure function of immutable inputs; no shared state.
 Sign vectors are plain float arrays with entries in {-1.0, +1.0}.
@@ -158,34 +158,39 @@ def sphere_directions(d: int, count: int) -> np.ndarray:
     return z / norms
 
 
-def double_until(ok: Callable[[float], bool], hi: float, cap: float) -> float:
-    """Double ``hi`` until ``ok(hi)`` holds; +inf once ``hi`` passes ``cap``.
+def bisect_rows(ok: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi,
+                rel_tol: float, cap) -> tuple:
+    """Per-row threshold of a predicate that is false below it, true above.
 
-    ``ok`` must be monotone (false below a threshold, true above it), so the
-    returned value brackets the threshold from above.
-    """
-    while not ok(hi):
-        hi *= 2.0
-        if hi > cap:
-            return math.inf
-    return hi
-
-
-def bisect_monotone(ok: Callable[[float], bool], lo: float, hi: float,
-                    rel_tol: float) -> tuple:
-    """Halve [lo, hi] around the threshold of a monotone predicate.
-
-    The caller guarantees ``ok(hi)``; ``lo`` is kept unless a midpoint fails,
-    and neither end is ever re-tested. Returns ``(lo, hi)`` with
-    ``hi - lo <= rel_tol * hi`` and ``ok(hi)`` still holding.
-    """
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
+    ``ok(t, rows)`` returns one bool per row index in ``rows``, tested at
+    ``t``; ``lo``, ``hi`` and ``cap`` broadcast to one entry per row. A row
+    that holds at ``lo`` returns ``(lo, lo)``. Any other row doubles ``hi``
+    until it holds, or is +inf once a doubled ``hi`` passes ``cap``, then
+    halves ``[lo, hi]`` to ``hi - lo <= rel_tol * hi``, or to one spacing of
+    ``hi`` where rel_tol * hi is smaller (as for subnormal thresholds). No
+    end is tested twice, and a row's bracket does not depend on the others."""
+    lo, hi = (a.astype(float).ravel() for a in np.broadcast_arrays(lo, hi))
+    held = ok(lo, np.arange(lo.size))
+    hi[held] = lo[held]
+    grow = ~held & (hi == lo)   # hi = lo has failed: double it untested
+    test = ~held & ~grow
+    while np.any(test | grow):
+        rows = np.flatnonzero(test)
+        if rows.size:
+            grow[rows] = ~ok(hi[rows], rows)
+        hi[grow] *= 2.0
+        hi[grow & (hi > cap)] = np.inf
+        test = grow & (hi < np.inf)
+        grow[:] = False
+    while True:
+        live = hi - lo > np.maximum(rel_tol * hi, np.spacing(hi))
+        if not np.any(live):
+            return lo, hi
+        rows = np.flatnonzero(live)
+        mid = 0.5 * (lo[rows] + hi[rows])
+        good = ok(mid, rows)
+        hi[rows[good]] = mid[good]
+        lo[rows[~good]] = mid[~good]
 
 
 def box_grid(lo, hi, res: int) -> np.ndarray:

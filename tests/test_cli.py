@@ -238,15 +238,21 @@ class TestOtherExperiments:
     # and this test pins only that its row is flagged
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_conjugate_flags_loose_row(self):
-        # phi*(y) = 5 (y / 6)^(6/5) for phi = |x|^6: 546.68 at y = 300, where
-        # the search stalls far below it with a slack above its value
+        # phi*(y) = 5 (y / 6)^(6/5) for phi = |x|^6, exact at y = 8 and at
+        # y = 300, whose maximizer 2.19 lies far inside its |y|-sized box
         cfg = ExperimentConfig.from_dict({
             "experiment": "conjugate", "phi": "power{p=6,c=1,d=1}",
             "y": [[8.0], [300.0]], "seed": 0})
-        exact, loose = (r.outputs for r in run(cfg)[0])
-        assert exact["phi_star"] == pytest.approx(5 * (8 / 6) ** 1.2,
-                                                  rel=1e-10)
-        assert exact["flags"] == ""
+        for y, out in zip((8.0, 300.0), (r.outputs for r in run(cfg)[0])):
+            assert out["phi_star"] == pytest.approx(5 * (y / 6) ** 1.2,
+                                                    rel=1e-10)
+            assert out["flags"] == ""
+        # phi*(y) = (y / 1.5)^3 / 2 for phi = |x|^1.5 is 1.48e-28 at
+        # y = 1e-9, below the slack's floor of 1e-14
+        cfg = ExperimentConfig.from_dict({
+            "experiment": "conjugate", "phi": "power{p=1.5,c=1,d=1}",
+            "y": [[1e-9]], "seed": 0})
+        loose = run(cfg)[0][0].outputs
         assert loose["slack"] > loose["phi_star"]
         assert loose["flags"] == "slack_exceeds_value"
 

@@ -144,6 +144,34 @@ class TestConjugateStructure:
         assert val.value == pytest.approx(math.log(2.0), abs=1e-5)
 
 
+def _power_star(p, Y):
+    """Closed form of (|x|^p)* : (p - 1) (|y| / p)^(p / (p - 1))."""
+    return (p - 1.0) * (np.linalg.norm(Y, axis=-1) / p) ** (p / (p - 1.0))
+
+
+class TestFirstBoxFromPhi:
+    """A row whose maximizer is far inside its |y|-sized box still reaches
+    the supremum: the first box comes from where phi crosses |y| r along
+    the ray of y. (The project's pytest settings turn a RuntimeWarning,
+    such as an overflow in the ascent, into an error.)"""
+
+    @pytest.mark.parametrize("spec, p", [("power{p=4,c=1,d=1}", 4.0),
+                                         ("power{p=6,c=1,d=1}", 6.0),
+                                         ("radial{nu=pow3,Q=[[1]]}", 6.0)])
+    @pytest.mark.parametrize("y", [1e-6, 300.0, 1e4])
+    def test_closed_form(self, spec, p, y):
+        # power p = 6 at y = 300 has its maximizer at 2.19 in a box of
+        # half-width 1024, and used to report 0.458 for 546.68
+        Y = np.array([[y], [-y]])
+        got = ConjugateEvaluator(young_from_spec(spec)).values(Y).values
+        assert got == pytest.approx(_power_star(p, Y), rel=1e-10)
+
+    def test_closed_form_off_axis_d2(self):
+        Y = np.array([[300.0, -2.0]])
+        got = ConjugateEvaluator(make_power(4.0, 1.0, 2)).values(Y).values
+        assert got == pytest.approx(_power_star(4.0, Y), rel=1e-10)
+
+
 class TestBatchIndependence:
     """A row's phi* and slack do not depend on the rest of its batch."""
 

@@ -13,7 +13,7 @@ from exptail.norms import (OrliczFunction, bphi_norm, equivalence_report,
                            psi_moment_vector, psi_phi_even_moments,
                            ray_probe_plan)
 from exptail.specs import distribution_from_spec, young_from_spec
-from exptail.vectors import bisect_monotone, double_until
+from exptail.vectors import bisect_rows
 from exptail.young import make_logcosh, make_quadratic
 
 GAUSS_MGF_2D = lambda L: 0.5 * np.sum(np.atleast_2d(L) ** 2, axis=-1)
@@ -239,12 +239,14 @@ class TestLuxemburg:
 
 def _cold_luxemburg(data, N, rel_tol=1e-4):
     """The Luxemburg bisection with every conjugation started cold."""
-    def ok(c):
-        mean = float(np.mean(N.values(data / c)))
-        return math.isfinite(mean) and mean <= 1.0
+    def ok(c, rows):
+        if c[0] == 0.0:
+            return np.array([False])
+        mean = float(np.mean(N.values(data / c[0])))
+        return np.array([math.isfinite(mean) and mean <= 1.0])
 
-    hi = double_until(ok, float(np.max(np.abs(data))), 1e6)
-    return bisect_monotone(ok, 0.0, hi, rel_tol)
+    lo, hi = bisect_rows(ok, 0.0, float(np.max(np.abs(data))), rel_tol, 1e6)
+    return float(lo[0]), float(hi[0])
 
 
 class TestLuxemburgWarmStart:
@@ -264,6 +266,50 @@ class TestLuxemburgWarmStart:
         lo, hi = _cold_luxemburg(s.data[:4000], N)
         assert est.value == hi
         assert est.bracket == (lo, hi)
+
+
+# the scales a Luxemburg bisection conjugates at, in order, on the first
+# 300 draws of gaussian{Q=[[1]]} (seed 1), as the scalar doubling and
+# halving search before bisect_rows gave them; the warm start scales each
+# step's start by c_prev / c, so the order is part of the result
+_LUX_SCALES = {
+    # every step below max |xi| = 3.5689 meets diverged rows
+    "logcosh{d=1}": [
+        3.568859987755531, 1.7844299938777655, 2.6766449908166483,
+        3.1227524892860896, 3.3458062385208103, 3.4573331131381706,
+        3.5130965504468508, 3.540978269101191, 3.554919128428361,
+        3.561889558091946, 3.5653747729237386, 3.567117380339635,
+        3.5679886840475827, 3.5684243359015566, 3.568642161828544],
+    # doubles once, then bisects [0, 2 max |xi|] from its midpoint
+    "quadratic{B=[[0.1]]}": [
+        3.568859987755531, 7.137719975511062, 3.568859987755531,
+        5.353289981633297, 4.461074984694414, 4.014967486224973,
+        3.791913736990252, 3.6803868623728917, 3.624623425064211,
+        3.6525051437185514, 3.6385642843913812, 3.6455347140549663,
+        3.642049499223174, 3.6403068918072776, 3.6394355880993294,
+        3.6398712399533037, 3.6400890658802907],
+}
+
+
+class TestLuxemburgScales:
+    @pytest.mark.parametrize("phi_spec", sorted(_LUX_SCALES))
+    def test_conjugates_at_the_same_scales_never_at_zero(self, phi_spec):
+        s = sample(Gaussian([[1.0]]), 300, seed=1)
+        N = OrliczFunction(young_from_spec(phi_spec))
+        seen = []
+        values = N.values
+
+        def recording(U, x0=None, argmax=None):
+            seen.append(np.array(U))
+            return values(U, x0=x0, argmax=argmax)
+
+        N.values = recording
+        est = luxemburg_norm(s, N)
+        want = _LUX_SCALES[phi_spec]
+        assert len(seen) == len(want)
+        for U, c in zip(seen, want):
+            assert np.array_equal(U, s.data / c)
+        assert est.bracket == (want[-1], est.value)
 
 
 class TestEquivalenceReport:

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import exptail
-from exptail.vectors import (DIMENSION_CAP, LogValue, bisect_monotone,
-                             box_grid, coordinatewise_product, double_until,
-                             enumerate_sign_vectors, log_cosh, log_mean_exp,
-                             octant_contains, octants_containing,
-                             sphere_directions)
+from exptail.vectors import (DIMENSION_CAP, LogValue, bisect_rows, box_grid,
+                             coordinatewise_product, enumerate_sign_vectors,
+                             log_cosh, log_mean_exp, octant_contains,
+                             octants_containing, sphere_directions)
 from exptail.errors import DimensionCapError, ShapeMismatchError
 
 
@@ -186,36 +185,78 @@ class TestNoScipyAtRuntime:
         assert np.max(np.abs(sphere_directions(d, count) - ref)) <= 4e-15
 
 
-class TestMonotoneSearch:
+def _threshold(thr, calls=None):
+    """ok(t, rows) of rows that hold from thr[row] on; records each test."""
+    thr = np.asarray(thr, dtype=float)
+
+    def ok(t, rows):
+        if calls is not None:
+            calls.extend(zip(rows.tolist(), t.tolist()))
+        return t >= thr[rows]
+
+    return ok
+
+
+class TestRowBisection:
     @settings(max_examples=60, deadline=None)
-    @given(st.floats(1e-6, 1e6), st.sampled_from([1e-3, 1e-6, 1e-10]))
-    def test_bisect_brackets_threshold(self, thr, rel_tol):
-        def ok(t):
-            return t >= thr
+    @given(st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=6),
+           st.sampled_from([1e-3, 1e-6, 1e-10]))
+    def test_brackets_each_threshold(self, thr, rel_tol):
+        ok = _threshold(thr)
+        rows = np.arange(len(thr))
+        lo, hi = bisect_rows(ok, np.zeros(len(thr)), 1.0, rel_tol, 1e7)
+        assert np.all(ok(hi, rows)) and not np.any(ok(lo, rows))
+        assert np.all(hi - lo <= rel_tol * hi)
 
-        hi = double_until(ok, 1.0, 1e7)
-        assert ok(hi)
-        lo, hi = bisect_monotone(ok, 0.0, hi, rel_tol)
-        assert ok(hi) and not ok(lo)
-        assert hi - lo <= rel_tol * hi
-
-    def test_bisect_keeps_lo_and_passing_hi(self):
+    def test_ends_are_tested_once(self):
+        # row 0 brackets [2, 4]; row 1 starts at hi = lo, which has failed,
+        # so its first test of hi is at 4; row 2 holds at lo
         calls = []
+        lo, hi = bisect_rows(_threshold([3.0, 3.0, 1.0], calls),
+                             [2.0, 2.0, 2.0], [4.0, 2.0, 4.0], 1e-6, 1e3)
+        assert len(calls) == len(set(calls))
+        assert [t for r, t in calls if r == 2] == [2.0]
+        assert [t for r, t in calls if r == 1][:3] == [2.0, 4.0, 3.0]
+        assert np.all(lo[:2] < 3.0) and np.all(3.0 <= hi[:2])
+        assert (lo[2], hi[2]) == (2.0, 2.0)
 
-        def ok(t):
-            calls.append(t)
-            return t >= 3.0
+    def test_row_past_cap_is_inf(self):
+        ok = _threshold([100.0, 100.0, 3.0])
+        lo, hi = bisect_rows(ok, np.zeros(3), [1.0, 1.0, 5.0], 1e-6,
+                             [50.0, 128.0, 1.0])
+        assert hi[0] == np.inf and lo[0] == 0.0
+        assert lo[1] < 100.0 <= hi[1] < 128.0
+        # hi as given is tested even above the cap
+        assert lo[2] < 3.0 <= hi[2]
 
-        assert bisect_monotone(ok, 2.0, 2.0, 1e-6) == (2.0, 2.0)
-        assert calls == []
-        lo, hi = bisect_monotone(ok, 2.0, 4.0, 1e-6)
-        assert calls[0] == 3.0 and 2.0 not in calls and 4.0 not in calls
-        assert lo < 3.0 <= hi
+    def test_subnormal_threshold_ends_at_adjacent_floats(self):
+        # rel_tol * hi underflows to 0 there, so a row stops once no float
+        # lies between lo and hi
+        tiny = 5e-324
+        calls = []
+        ok = _threshold([tiny, 3 * tiny], calls)
 
-    def test_double_until_cap_is_not_found(self):
-        assert double_until(lambda t: t >= 100.0, 1.0, 50.0) == math.inf
-        assert double_until(lambda t: t >= 100.0, 1.0, 128.0) == 128.0
-        assert double_until(lambda t: True, 5.0, 1.0) == 5.0
+        def bounded(t, rows):
+            assert len(calls) < 10_000, "the bisection does not end"
+            return ok(t, rows)
+
+        lo, hi = bisect_rows(bounded, np.zeros(2), 1.0, 1e-6, 1e3)
+        assert list(lo) == [0.0, 2 * tiny] and list(hi) == [tiny, 3 * tiny]
+
+    def test_row_holding_at_lo(self):
+        calls = []
+        lo, hi = bisect_rows(_threshold([1.0], calls), 2.0, 8.0, 1e-6, 1e3)
+        assert (lo[0], hi[0]) == (2.0, 2.0)
+        assert calls == [(0, 2.0)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e4), min_size=2, max_size=6))
+    def test_row_alone_equals_row_in_batch(self, thr):
+        lo, hi = bisect_rows(_threshold(thr), np.zeros(len(thr)), 1.0, 1e-6,
+                             1e3)
+        for i, t in enumerate(thr):
+            one = bisect_rows(_threshold([t]), 0.0, 1.0, 1e-6, 1e3)
+            assert (one[0][0], one[1][0]) == (lo[i], hi[i])
 
 
 class TestBoxGrid:

@@ -126,6 +126,23 @@ class TestRadial:
             assert np.all(nu(x) + nu(y) <= nu(x + y) + 1e-9)
 
 
+class TestRowsIndependentOfBatch:
+    """A row's value and gradient are the same alone as inside a batch, so
+    a search over rows cannot depend on which other rows it evaluates."""
+
+    @pytest.mark.parametrize("phi", [
+        make_quadratic([[1.0, 0.2], [0.2, 1.0]]),
+        make_radial(lambda z: np.asarray(z) ** 2, [[1.0, 0.2], [0.2, 1.0]],
+                    nu_prime=lambda z: 2.0 * np.asarray(z)),
+    ], ids=["quadratic", "radial_pow2"])
+    def test_lone_row_equals_batch_row(self, phi):
+        X = np.random.default_rng(0).standard_normal((3000, 2)) * 3.0
+        values, grads = phi.value_ext(X), phi.grad(X)
+        for i in range(X.shape[0]):
+            assert phi.value_ext(X[i:i + 1])[0] == values[i]
+            assert np.array_equal(phi.grad(X[i:i + 1])[0], grads[i])
+
+
 class TestStructuralInvariants:
     @pytest.mark.parametrize("phi_factory", [
         lambda: make_quadratic(np.array([[2.0, 0.5], [0.5, 1.0]])),
