@@ -61,11 +61,11 @@ def mixed_forward_difference(f, pts: np.ndarray, k: np.ndarray,
     return total / denom
 
 
-def check_absolutely_monotonic(f, box: Sequence, k_max: int = 4,
-                               grid_points: int = 9) -> Verdict:
+def check_absolutely_monotonic(f, box: Sequence, k_max: int = 4) -> Verdict:
     """All mixed forward differences of order |k| <= k_max nonnegative?
 
-    The step is 1/64 of the box width per axis. The truncation error of
+    They are checked on the 9-point-per-axis grid of the box, and the step
+    is 1/64 of the box width per axis. The truncation error of
     each difference is estimated by halving the step; a value below
     -(10 x error estimate) is a violation, a negative value inside that
     tolerance renders the point inconclusive.
@@ -76,7 +76,7 @@ def check_absolutely_monotonic(f, box: Sequence, k_max: int = 4,
     if np.any(widths <= 0):
         raise ParameterError("box must have positive extent per axis")
     h = widths / 64.0
-    pts = box_grid(*np.transpose(box), grid_points)
+    pts = box_grid(*np.transpose(box), 9)
     base = np.asarray(f(pts), dtype=float)
     atol = 1e-12 * (float(np.max(np.abs(base))) or 1.0)
     if np.any(base < -atol):
@@ -105,8 +105,7 @@ def check_absolutely_monotonic(f, box: Sequence, k_max: int = 4,
     return Verdict(status, None, n_orders, pts.shape[0])
 
 
-def check_octant_monotonic(f, eps, box: Sequence, k_max: int = 4,
-                           grid_points: int = 9) -> Verdict:
+def check_octant_monotonic(f, eps, box: Sequence, k_max: int = 4) -> Verdict:
     """Signs of mixed partials match eps^k on the box?
 
     Reduces exactly to absolute monotonicity of lam -> f(eps (x) lam) on
@@ -125,8 +124,7 @@ def check_octant_monotonic(f, eps, box: Sequence, k_max: int = 4,
     def g(pts):
         return f(np.atleast_2d(pts) * eps)
 
-    verdict = check_absolutely_monotonic(g, flipped_box, k_max=k_max,
-                                         grid_points=grid_points)
+    verdict = check_absolutely_monotonic(g, flipped_box, k_max=k_max)
     if verdict.witness is not None:
         wit = dict(verdict.witness)
         wit["point"] = wit["point"] * eps

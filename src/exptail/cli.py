@@ -229,14 +229,11 @@ def _run_norm(cfg: ExperimentConfig) -> tuple:
             cfg.seed, provenance={"probe_plan": est.probe_plan}))
 
     if space in ("bphi", "all"):
-        add("bphi", bphi_norm(natural_function(s), phi,
-                              rel_tol=float(cfg.options.get("tol", 1e-4))))
+        add("bphi", bphi_norm(natural_function(s), phi))
     if space in ("gls", "all"):
         add("gls", gls_norm_vector(lambda r: vector_moment(s, r), phi))
     if space in ("orlicz", "all"):
-        add("orlicz", luxemburg_norm(s, OrliczFunction(phi),
-                                     subsample=int(cfg.options.get(
-                                         "lux_subsample", 4000))))
+        add("orlicz", luxemburg_norm(s, OrliczFunction(phi), subsample=4000))
     return records, 0
 
 
@@ -377,15 +374,14 @@ def _run_characterize(cfg: ExperimentConfig) -> tuple:
     if len(box) != d:
         raise ConfigError("box", f"needs {d} axes")
     k_max = int(cfg.options.get("kmax", 4))
-    gp = int(cfg.options.get("grid", 9))
     eps_opt = cfg.options.get("eps")
     records = []
     if eps_opt is None:
-        v = check_absolutely_monotonic(f, box, k_max=k_max, grid_points=gp)
+        v = check_absolutely_monotonic(f, box, k_max=k_max)
         rows = [("absolute", v)]
     else:
         eps = np.asarray(eps_opt, dtype=float)
-        v = check_octant_monotonic(f, eps, box, k_max=k_max, grid_points=gp)
+        v = check_octant_monotonic(f, eps, box, k_max=k_max)
         rows = [(str([int(e) for e in eps]), v)]
     for name, v in rows:
         wit = "" if v.witness is None else json.dumps(_jsonable(

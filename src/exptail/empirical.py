@@ -2,8 +2,8 @@
 
 Sampling is chunked with per-chunk derived seeds, so a SampleSet is a pure
 function of (distribution, n, seed) regardless of how the chunks would be
-scheduled. All estimators stream over sample chunks and never materialize
-exponentials of the full design at once.
+scheduled. The natural function exponentiates a block of a few rows over
+all n samples at a time, never the full design at once.
 """
 from __future__ import annotations
 
@@ -290,15 +290,16 @@ class UniformBox:
             lam = np.atleast_2d(np.asarray(lam, dtype=float))
             a = np.abs(lam * hw)
             # log(sinh a / a). Below 0.05 the closed form cancels, so a
-            # three-term series takes over; the first omitted term, a^8/37800,
-            # is at most 2.5e-12 of the value there. Each discarded branch
-            # is clamped at the threshold, so a = 0 and huge a stay finite.
+            # four-term series takes over; the first omitted term,
+            # a^10/467775, is at most 5e-16 of the value there. Each
+            # discarded branch is clamped at the threshold, so a = 0 and
+            # huge a stay finite.
             small = a < 0.05
             a_pos = np.maximum(a, 0.05)
-            big = a + np.log1p(-np.exp(np.maximum(-2.0 * a_pos, EXP_FLOOR))) \
-                - np.log(2.0 * a_pos)
+            big = a_pos + np.log(-np.expm1(-2.0 * a_pos) / (2.0 * a_pos))
             s = np.minimum(a, 0.05) ** 2
-            series = s * (1.0 / 6.0 - s * (1.0 / 180.0 - s / 2835.0))
+            series = s * (1.0 / 6.0 - s * (1.0 / 180.0
+                                           - s * (1.0 / 2835.0 - s / 37800.0)))
             return np.sum(np.where(small, series, big), axis=-1)
 
         return f
@@ -458,11 +459,10 @@ def empirical_variance(s: SampleSet) -> np.ndarray:
     return np.atleast_2d(np.cov(s.data, rowvar=False, ddof=1))
 
 
-#: Samples per chunk of the natural function's streaming log-sum-exp.
-_NATURAL_SAMPLE_CHUNK = 200_000
 #: Elements per row block of the natural function (6 rows at n = 20k). A
-#: block's float64 products (1 MB) and float32 exponentials (0.5 MB) fit a
-#: 2 MB L2 cache together, so its five passes do not go out to memory.
+#: block's float64 products (1 MB) fit a 2 MB L2 cache, so the passes that
+#: shift, exponentiate and sum them in place do not go out to memory. Past
+#: n = 64k a block is two rows of n samples.
 _NATURAL_BLOCK = 1 << 17
 
 
@@ -490,9 +490,10 @@ class EmpiricalNaturalFunction:
     one) are refused: their natural function does not exist.
 
     Each of a point's 2^d sign flips is a row of one batch, and the batch
-    runs through the log-sum-exp in blocks of at least two rows. A
-    one-row product would go to BLAS gemv, whose rounding differs from that
-    of gemm, so with two rows a point's value does not depend on its batch.
+    runs through a float64 log-sum-exp over all samples in blocks of at
+    least two rows. A one-row product would go to BLAS gemv, whose rounding
+    differs from that of gemm, so with two rows a point's value does not
+    depend on its batch.
     """
 
     def __init__(self, source: SampleSet):
@@ -503,8 +504,7 @@ class EmpiricalNaturalFunction:
         self.source = source
         self._data = source.data - source.data.mean(axis=0, keepdims=True)
         self._signs = enumerate_sign_vectors(source.dimension)
-        self._block_rows = max(
-            2, _NATURAL_BLOCK // min(self._data.shape[0], _NATURAL_SAMPLE_CHUNK))
+        self._block_rows = max(2, _NATURAL_BLOCK // self._data.shape[0])
         self.dimension = source.dimension
 
     def evaluate(self, lam):
@@ -553,43 +553,30 @@ class EmpiricalNaturalFunction:
 
     def _evaluate_part(self, pts):
         """Values and trust flags of a run of points, whose flips are
-        consecutive rows, one row block at a time with buffers reused across
-        blocks; each point keeps its largest flip, the first one on ties."""
+        consecutive rows, one row block at a time in one reused buffer;
+        each point keeps its largest flip, the first one on ties."""
         data = self._data
         n, d = data.shape
         flips = (pts[:, None, :] * self._signs).reshape(-1, d)
         rows = flips.shape[0]
         blocks = _split(rows, -(-rows // self._block_rows))
         height = max((hi - lo for lo, hi in blocks), default=0)
-        width = min(n, _NATURAL_SAMPLE_CHUNK)
-        prod = np.empty(height * width)
-        terms = np.empty(height * width, dtype=np.float32)
+        buf = np.empty(height * n)
         lme = np.empty(rows)
-        share = np.empty(rows)   # of the exponential mass in the top term
-        log_n = math.log(n)
+        # S = sum of exp(t - max t), so the top term's share of the mass is 1/S
+        S = np.empty(rows)
         for lo, hi in blocks:
-            M = np.full(hi - lo, -np.inf)
-            S = np.zeros(hi - lo)
-            for slo in range(0, n, width):
-                shi = min(n, slo + width)
-                size = (hi - lo) * (shi - slo)
-                T = np.matmul(flips[lo:hi], data[slo:shi].T,
-                              out=prod[:size].reshape(hi - lo, shi - slo))
-                M_new = np.maximum(M, T.max(axis=1))
-                # shifted terms are <= 0; float32 exp is several times
-                # faster and its 1e-7 rounding sits far below MC noise.
-                # The cast rounds each float64 difference once.
-                E = np.subtract(T, M_new[:, None], casting="same_kind",
-                                out=terms[:size].reshape(T.shape))
-                np.exp(E, out=E)
-                S = S * np.exp(M - M_new) + E.sum(axis=1, dtype=np.float64)
-                M = M_new
-            lse = M + np.log(S)
-            lme[lo:hi] = lse - log_n
-            share[lo:hi] = np.exp(M - lse)
+            T = np.matmul(flips[lo:hi], data.T,
+                          out=buf[:(hi - lo) * n].reshape(hi - lo, n))
+            M = T.max(axis=1)
+            T -= M[:, None]
+            np.maximum(T, EXP_FLOOR, out=T)
+            np.exp(T, out=T)
+            S[lo:hi] = T.sum(axis=1)
+            lme[lo:hi] = M + np.log(S[lo:hi]) - math.log(n)
         lme = lme.reshape(-1, len(self._signs))
         pick = (np.arange(lme.shape[0]), np.argmax(lme, axis=1))
-        trusted = share.reshape(lme.shape)[pick] <= 0.1
+        trusted = S.reshape(lme.shape)[pick] >= 10.0
         best = np.maximum(lme[pick], 0.0)   # Jensen floor for centered samples
         return best, trusted
 

@@ -228,9 +228,9 @@ class TestBatchIndependence:
     @pytest.mark.parametrize("spec", ["quadratic{B=[[1,.5],[.5,2]]}",
                                       "radial{nu=pow2,Q=[[1,.2],[.2,1]]}"])
     def test_matrix_product_row_matches_lone_query(self, spec):
-        # a source built on a matrix product may round a one-row batch
-        # differently, so a row matches its lone query to 1e-12, not bit
-        # for bit; the rows run from |y| = 1e-9 to about 150
+        # the quadratic and radial families round a row the same in any
+        # batch, so a row matches its lone query bit for bit; the rows run
+        # from |y| = 1e-9 to about 150
         phi = young_from_spec(spec)
         angles = np.linspace(0.0, 2.0 * np.pi, 13)[:-1]
         Y = (np.geomspace(1e-9, 150.0, 12)[:, None]
@@ -238,8 +238,10 @@ class TestBatchIndependence:
         ev = ConjugateEvaluator(phi)
         batch = ev.values(Y)
         for i in range(Y.shape[0]):
-            alone = ev.value(Y[i]).value
-            assert abs(batch.values[i] - alone) <= 1e-12 * (1.0 + abs(alone))
+            alone = ev.value(Y[i])
+            assert batch.values[i] == alone.value
+            assert batch.slack[i] == alone.slack
+            assert np.array_equal(batch.argmax[i], alone.argmax)
 
     def test_logcosh_small_rows_beside_divergent_ones(self):
         # the y of a CLI `conjugate` run: the rows above 1 diverge, and their

@@ -137,39 +137,46 @@ class TestNaturalFunction:
         assert phi.hessian_at_origin[0, 0] == pytest.approx(1.0, abs=0.05)
 
 
+def _log_sum_exp(t):
+    return t.max() + np.log(np.exp(t - t.max()).sum())
+
+
 def _oracle_natural(nat, pts):
-    """The former kernel (400-row blocks, float32 cast by ``astype``), kept
-    as the reference for the blocked, threaded one."""
+    """The plain definition: for each sign flip of each point, the float64
+    log-mean-exp over all samples; each point keeps its largest flip. A flip
+    is a row of a two-row product, because BLAS gemv rounds a one-row
+    product differently from gemm."""
     data = nat._data
-    n = data.shape[0]
-    m = pts.shape[0]
-    best = np.full((m,), -np.inf)
-    best_top = np.full((m,), -np.inf)
-    samp_chunk = 200_000
-    row_chunk = max(1, 8_000_000 // min(n, samp_chunk))
-    for lo in range(0, m, row_chunk):
-        hi = min(m, lo + row_chunk)
-        for eps in enumerate_sign_vectors(data.shape[1]):
-            M = np.full(hi - lo, -np.inf)
-            S = np.zeros(hi - lo)
-            top = np.full(hi - lo, -np.inf)
-            flipped = pts[lo:hi] * eps
-            for slo in range(0, n, samp_chunk):
-                T = flipped @ data[slo:slo + samp_chunk].T
-                cm = T.max(axis=1)
-                top = np.maximum(top, cm)
-                M_new = np.maximum(M, cm)
-                shifted = (T - M_new[:, None]).astype(np.float32)
-                S = S * np.exp(M - M_new) + \
-                    np.exp(shifted).sum(axis=1, dtype=np.float64)
-                M = M_new
-            lse = M + np.log(S)
-            lme = lse - math.log(n)
-            frac = np.exp(top - lse)
-            sel = lme > best[lo:hi]
-            best[lo:hi][sel] = lme[sel]
-            best_top[lo:hi][sel] = frac[sel]
-    return np.maximum(best, 0.0), best_top <= 0.1
+    log_n = math.log(data.shape[0])
+    best = np.full(pts.shape[0], -np.inf)
+    best_share = np.full(pts.shape[0], np.inf)
+    for eps in enumerate_sign_vectors(data.shape[1]):
+        for i, p in enumerate(pts * eps):
+            t = (np.stack([p, p]) @ data.T)[0]
+            lse = _log_sum_exp(t)
+            if lse - log_n > best[i]:
+                best[i], best_share[i] = lse - log_n, np.exp(t.max() - lse)
+    return np.maximum(best, 0.0), best_share <= 0.1
+
+
+def _long_double_natural(nat, pts):
+    """Values and top-term shares in long double. Only the flips within 1e-8
+    of a point's best flip in plain float64 are summed in long double: those
+    float64 values are good to about 1e-13, so no other flip can be best."""
+    data = nat._data
+    wide = data.astype(np.longdouble)
+    log_n = np.log(np.longdouble(data.shape[0]))
+    flips = pts[:, None, :] * enumerate_sign_vectors(data.shape[1])
+    rough = np.array([[_log_sum_exp(data @ f) for f in row] for row in flips])
+    vals = np.full(pts.shape[0], -np.inf, dtype=np.longdouble)
+    share = np.empty(pts.shape[0], dtype=np.longdouble)
+    for i, row in enumerate(flips):
+        for f in row[rough[i] >= rough[i].max() - 1e-8]:
+            t = wide @ f.astype(np.longdouble)
+            lse = _log_sum_exp(t)
+            if lse - log_n > vals[i]:
+                vals[i], share[i] = lse - log_n, np.exp(t.max() - lse)
+    return np.maximum(vals, 0.0), share
 
 
 KERNEL_LAWS = {"rademacher_d1": RademacherScaled(1.0, 1),
@@ -189,6 +196,18 @@ class TestNaturalKernel:
         want_vals, want_trusted = _oracle_natural(kernel_nat, pts)
         assert np.array_equal(vals, want_vals)
         assert np.array_equal(trusted, want_trusted)
+
+    def test_matches_long_double_reference(self, kernel_nat):
+        # the default plan and trust_radius's radii, which reach |lam| = 0.01
+        d = kernel_nat.dimension
+        radii = np.geomspace(1e-2, 64.0, 48)
+        pts = np.concatenate([ray_probe_plan(d).points,
+                              radii[:, None] * np.ones((1, d)) / math.sqrt(d)])
+        vals, trusted = kernel_nat.evaluate_with_trust(pts)
+        want_vals, want_share = _long_double_natural(kernel_nat, pts)
+        want_vals = want_vals.astype(float)
+        assert np.all(np.abs(vals - want_vals) <= 1e-10 * np.abs(want_vals))
+        assert np.array_equal(trusted, want_share <= 0.1)
 
     @pytest.mark.parametrize("m", [1, 7, 925])
     def test_batch_split(self, m):
@@ -227,10 +246,9 @@ class TestNaturalKernel:
         (Gaussian([[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 2.0]]),
          20_000),
         (Gaussian([[1.0, 0.5], [0.5, 1.0]]), 250_000)],
-        ids=["gaussian_d3", "gaussian_d2_two_chunks"])
+        ids=["gaussian_d3", "gaussian_d2_two_row_blocks"])
     def test_lone_point_equals_batch_of_flips(self, dist, n):
-        # d = 3 gives 8 flip rows a point; n = 250k gives two sample chunks
-        # and blocks of 2 rows
+        # d = 3 gives 8 flip rows a point; n = 250k gives blocks of 2 rows
         nat = natural_function(sample(dist, n, 5))
         assert nat._block_rows == (6 if n == 20_000 else 2)
         pts = ray_probe_plan(dist.dimension).points[::97]
@@ -783,21 +801,13 @@ class TestWeibullMemo:
 
 
 class TestUniformBoxMgf:
-    def test_exp_floor_keeps_every_bit(self):
-        hw = np.array([2.0])
-        rng = np.random.default_rng(8)
-        lam = np.concatenate([rng.uniform(-2e3, 2e3, 500_000),
-                              rng.uniform(-1e300, 1e300, 499_996),
-                              [0.0, 1e-5, 1e300, -1e300]])[:, None]
-        a = np.abs(lam * hw)
-        with np.errstate(all="ignore"):   # a * a overflows in the unused branch
-            big = a + np.log1p(-np.exp(-2.0 * np.maximum(a, 1e-300))) \
-                - np.log(2.0 * np.maximum(a, 1e-300))
-            s = a * a
-            series = s * (1.0 / 6.0 - s * (1.0 / 180.0 - s / 2835.0))
-            unclamped = np.sum(np.where(a < 0.05, series, big), axis=-1)
-            clamped = UniformBox(hw).mgf_log()(lam)
-        assert np.array_equal(clamped, unclamped)
+    def test_extreme_arguments_are_finite_without_warning(self):
+        lam = np.array([[0.0], [1e-5], [1e300], [-1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            vals = UniformBox([2.0]).mgf_log()(lam)
+        assert np.all(np.isfinite(vals))
+        assert vals[0] == 0.0 and vals[2] == vals[3]
 
     def test_relative_accuracy(self):
         # log1p of the positive series of sinh(a)/a - 1 has no cancellation
@@ -810,6 +820,4 @@ class TestUniformBoxMgf:
             term = term * a * a / ((2 * k + 2) * (2 * k + 3))
         want = np.log1p(excess)
         got = UniformBox([1.0]).mgf_log()(a[:, None])
-        # below 0.05 the omitted series term is at most 2.5e-12 of the value;
-        # just above, the closed form's own rounding reaches 2.7e-12
-        assert np.max(np.abs(got - want) / want) <= 3e-12
+        assert np.max(np.abs(got - want) / want) <= 5e-13
