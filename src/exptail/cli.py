@@ -38,6 +38,33 @@ SEED_ENV_VAR = "EXPTAIL_SEED"
 #: derived-seed offset separating the fitting sample from the tail sample
 _TAIL_SEED_OFFSET = 1000003
 
+#: keys every config may set beside its experiment's options
+_CONFIG_KEYS = frozenset({"experiment", "seed", "out", "format"})
+
+#: keys of a verify-suite case
+_CASE_KEYS = frozenset({"name", "kind", "dist", "phi", "x", "n", "reps",
+                        "n_set", "bound_scale"})
+
+#: options each experiment reads; any other key is a config error
+_OPTION_KEYS = {
+    "conjugate": {"phi", "y"},
+    "norm": {"phi", "dist", "n", "space"},
+    "tailbound": _CASE_KEYS - {"name", "kind", "n_set"},
+    "sumbound": _CASE_KEYS - {"name", "kind"},
+    "characterize": {"function", "box", "kmax", "eps"},
+    "equivalence": {"phi", "dist", "n"},
+    "verify-suite": {"cases"},
+}
+
+
+def _check_keys(raw: dict, known, prefix: str = "") -> None:
+    """Raise a ConfigError naming the first key of ``raw`` not in ``known``."""
+    unknown = [k for k in raw if k not in known]
+    if unknown:
+        raise ConfigError(prefix + str(unknown[0]),
+                          "unknown option (unknown: "
+                          f"{', '.join(map(str, unknown))})")
+
 
 @dataclass
 class ExperimentConfig:
@@ -65,8 +92,12 @@ class ExperimentConfig:
         if exp not in EXPERIMENTS:
             raise ConfigError("experiment",
                               f"must be one of {EXPERIMENTS}, got {exp!r}")
-        options = {k: v for k, v in raw.items()
-                   if k not in ("experiment", "seed", "out", "format")}
+        _check_keys(raw, _CONFIG_KEYS | _OPTION_KEYS[exp])
+        cases = raw.get("cases")
+        for idx, case in enumerate(cases if isinstance(cases, list) else []):
+            if isinstance(case, dict):
+                _check_keys(case, _CASE_KEYS, f"cases[{idx}].")
+        options = {k: v for k, v in raw.items() if k not in _CONFIG_KEYS}
         if seed is not None:
             resolved_seed = int(seed)
         elif "seed" in raw:

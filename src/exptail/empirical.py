@@ -2,14 +2,15 @@
 
 Sampling is chunked with per-chunk derived seeds, so a SampleSet is a pure
 function of (distribution, n, seed) regardless of how the chunks would be
-scheduled. The natural function exponentiates a block of a few rows over
-all n samples at a time, never the full design at once.
+scheduled. The natural function evaluates points along rays by binned
+Taylor sums, one O(n) pass per direction and sign row whatever the number
+of radii, and other points by exponentiating a block of a few sign-flip
+rows over all n samples at a time; both run on one thread.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -288,15 +289,18 @@ class UniformBox:
 
         def f(lam):
             lam = np.atleast_2d(np.asarray(lam, dtype=float))
-            a = np.abs(lam * hw)
+            with np.errstate(over="ignore"):   # a = inf gives +inf below
+                a = np.abs(lam * hw)
             # log(sinh a / a). Below 0.05 the closed form cancels, so a
             # four-term series takes over; the first omitted term,
-            # a^10/467775, is at most 5e-16 of the value there. Each
-            # discarded branch is clamped at the threshold, so a = 0 and
-            # huge a stay finite.
+            # a^10/467775, is at most 5e-16 of the value there. The log
+            # term is taken at a clamped to [0.05, 1e300], where 2a cannot
+            # overflow: below 0.05 its branch is discarded, and past 1e300
+            # it is about -691, under a's last digit, so the sum is a, or
+            # +inf at a = inf.
             small = a < 0.05
-            a_pos = np.maximum(a, 0.05)
-            big = a_pos + np.log(-np.expm1(-2.0 * a_pos) / (2.0 * a_pos))
+            a_pos = np.clip(a, 0.05, 1e300)
+            big = a + np.log(-np.expm1(-2.0 * a_pos) / (2.0 * a_pos))
             s = np.minimum(a, 0.05) ** 2
             series = s * (1.0 / 6.0 - s * (1.0 / 180.0
                                            - s * (1.0 / 2835.0 - s / 37800.0)))
@@ -459,11 +463,28 @@ def empirical_variance(s: SampleSet) -> np.ndarray:
     return np.atleast_2d(np.cov(s.data, rowvar=False, ddof=1))
 
 
-#: Elements per row block of the natural function (6 rows at n = 20k). A
+#: Elements per row block of the direct kernel (6 rows at n = 20k). A
 #: block's float64 products (1 MB) fit a 2 MB L2 cache, so the passes that
 #: shift, exponentiate and sum them in place do not go out to memory. Past
 #: n = 64k a block is two rows of n samples.
 _NATURAL_BLOCK = 1 << 17
+
+#: Level-0 bin width of the ray kernel, in units of t = <h o u, xi>.
+_RAY_BIN = 2.0 ** -7
+
+#: Scaled moments a bin keeps: the sums of (t - c)^k / k! for k < this.
+_RAY_TERMS = 10
+
+#: Coarsest bin level; level j has bins of width _RAY_BIN 2^j.
+_RAY_LEVELS = 10
+
+#: Largest |r| the bins serve: past it even level 0 has |r| width / 2 > 1/4.
+_RAY_MAX_RADIUS = 64.0
+
+#: Elements (256 KB) of the ray kernel's largest arrays: rows are binned in
+#: groups of about this many moments, and a group's radii run in blocks of
+#: at most this many (radius, bin) terms.
+_RAY_BLOCK = 1 << 15
 
 
 def _split(m: int, count: int) -> list:
@@ -471,12 +492,102 @@ def _split(m: int, count: int) -> list:
     return [(i * m // count, (i + 1) * m // count) for i in range(count)]
 
 
-def _worker_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity call on this platform
-        return os.cpu_count() or 1
+def _best_flip(lme, S):
+    """Each point's largest sign flip, the first one on ties, floored at 0
+    (Jensen, for centered samples), and trusted when that flip's top term
+    carries at most a tenth of its mass: S = sum of exp(t - max t) >= 10."""
+    pick = (np.arange(lme.shape[0]), np.argmax(lme, axis=1))
+    return np.maximum(lme[pick], 0.0), S[pick] >= 10.0
+
+
+def _ray_levels(radii: np.ndarray) -> np.ndarray:
+    """Coarsest level j <= _RAY_LEVELS with |r| width_j / 2 <= 1/4, that is
+    |r| <= 2^(6 - j), per finite radius; -1 where |r| > _RAY_MAX_RADIUS."""
+    mant, expo = np.frexp(np.abs(radii))
+    ceil_log2 = expo - (mant == 0.5)       # |r| = mant 2^expo, mant in [.5, 1)
+    level = np.where(radii == 0.0, _RAY_LEVELS,
+                     np.minimum(6 - ceil_log2, _RAY_LEVELS))
+    return np.where(np.abs(radii) <= _RAY_MAX_RADIUS, level, -1)
+
+
+def _merge_bins(Q, starts, lengths, level: int) -> tuple:
+    """Moments of level ``level`` from those of the level below, for rows
+    whose bins lie side by side in Q's columns: row i has ``lengths[i]``
+    bins from absolute index ``starts[i]`` on. Bins 2b and 2b + 1 of a row
+    become its bin b, by an exact Taylor shift of each child's moments to
+    the parent's center, h = width_(level-1) / 2 away:
+    Q'[k] = sum_p h^p / p! (Q_right[k-p] + (-1)^p Q_left[k-p]).
+    Every sum runs in a fixed order, so a row's result depends on its own
+    bins alone. Returns (Q', starts', lengths')."""
+    front = starts % 2                  # pad a row to whole pairs
+    padded = lengths + front
+    padded += padded % 2
+    old_off = np.cumsum(lengths) - lengths
+    new_off = np.cumsum(padded) - padded
+    P = np.zeros((_RAY_TERMS, int(padded.sum())))
+    P[:, np.arange(Q.shape[1]) + np.repeat(new_off + front - old_off,
+                                           lengths)] = Q
+    left, right = P[:, 0::2], P[:, 1::2]
+    even, odd = right + left, right - left
+    merged = even.copy()
+    half = _RAY_BIN * 2.0 ** (level - 2)
+    for p in range(1, _RAY_TERMS):
+        merged[p:] += (half ** p / math.factorial(p)) * (odd if p % 2
+                                                          else even)[:-p]
+    return merged, (starts - front) // 2, padded // 2
+
+
+def _level_sums(Q, starts, lengths, level: int, radii, t_max, t_min):
+    """Per row and signed radius, r t_top and
+    S = sum_i exp(r (t_i - t_top)) = sum_b exp(r (c_b - t_top)) P_b(r),
+    P_b(r) = sum_k r^k Q[k, b] in Horner form, from the rows' level-
+    ``level`` bins (laid out as in ``_merge_bins``). t_top is the row's max
+    t for r > 0 and its min t otherwise, so S >= 1 up to truncation.
+    Radii run in blocks of at most _RAY_BLOCK terms; each row's sum is
+    over its own bins only."""
+    offsets = np.cumsum(lengths) - lengths
+    scale = 2.0 ** level
+    centers = (np.arange(Q.shape[1]) + np.repeat(starts - offsets, lengths)
+               ) * scale + (scale - 1.0) / 2.0
+    centers *= _RAY_BIN
+    above = centers - np.repeat(t_max, lengths)
+    below = centers - np.repeat(t_min, lengths)
+    S = np.empty((radii.size, lengths.size))
+    step = max(1, _RAY_BLOCK // Q.shape[1])
+    for lo in range(0, radii.size, step):
+        r = radii[lo:lo + step, None]
+        z = np.where(r > 0.0, above, below) * r
+        np.maximum(z, EXP_FLOOR, out=z)
+        np.exp(z, out=z)
+        poly = Q[-1] * r
+        for k in range(_RAY_TERMS - 2, 0, -1):
+            poly += Q[k]
+            poly *= r
+        poly += Q[0]
+        z *= poly
+        S[lo:lo + step] = np.add.reduceat(z, offsets, axis=1)
+    top = np.where(radii > 0.0, t_max[:, None], t_min[:, None]) * radii
+    return top, S.T
+
+
+def _binned_sums(rows: list, radii, levels):
+    """r t_top and S (as in ``_level_sums``), shape (len(rows), len(radii)),
+    of rows given as (first bin, level-0 moments, max t, min t)."""
+    starts, Qs, t_max, t_min = zip(*rows)
+    Q = np.concatenate(Qs, axis=1)
+    starts = np.array(starts)
+    lengths = np.array([q.shape[1] for q in Qs])
+    t_max, t_min = np.array(t_max), np.array(t_min)
+    top = np.empty((len(rows), radii.size))
+    S = np.empty_like(top)
+    for level in range(int(levels.max()) + 1):
+        if level:
+            Q, starts, lengths = _merge_bins(Q, starts, lengths, level)
+        at = np.flatnonzero(levels == level)
+        if at.size:
+            top[:, at], S[:, at] = _level_sums(Q, starts, lengths, level,
+                                               radii[at], t_max, t_min)
+    return top, S
 
 
 class EmpiricalNaturalFunction:
@@ -489,11 +600,29 @@ class EmpiricalNaturalFunction:
     Kramer's condition (weibull p < 1, or a custom law declared without
     one) are refused: their natural function does not exist.
 
-    Each of a point's 2^d sign flips is a row of one batch, and the batch
-    runs through a float64 log-sum-exp over all samples in blocks of at
-    least two rows. A one-row product would go to BLAS gemv, whose rounding
-    differs from that of gemm, so with two rows a point's value does not
-    depend on its batch.
+    Two kernels compute it, both in float64 on one thread, and a value
+    depends only on its point and the samples, never on the rest of the
+    call.
+
+    - Points (``evaluate_with_trust(points)``) go through the direct
+      kernel. Each of a point's 2^d sign flips is a row of one batch, and
+      the batch runs through a log-sum-exp over all samples in blocks of
+      at least two rows. A one-row product would go to BLAS gemv, whose
+      rounding differs from that of gemm, so with two rows a point's value
+      does not depend on its batch.
+    - Rays (``evaluate_with_trust(directions, radii=radii)``) go through
+      binned Taylor sums, which pay n K once per direction and sign row
+      instead of n exponentials per radius. A row is a direction u with
+      one of the first 2^(d-1) sign vectors h, t = sum_q h_q u_q xi_q
+      taken elementwise; the flip -h is the same row at radius -r. Level-0
+      bins of width 2^-7 at multiples of it keep the moments
+      Q[k, b] = sum (t - c_b)^k / k!, k < 10; level j merges the pairs of
+      level j - 1 by an exact Taylor shift. A radius uses the coarsest
+      level with |r| width / 2 <= 1/4, so each bin's truncation is at most
+      0.25^10 / 10! e^0.25 = 3.4e-13 of its sum. Radii past 64, and
+      directions with a row that spans more level-0 bins than there are
+      samples (far outliers, which would also cost more than the direct
+      kernel), go through the direct kernel.
     """
 
     def __init__(self, source: SampleSet):
@@ -513,48 +642,34 @@ class EmpiricalNaturalFunction:
 
     __call__ = evaluate
 
-    def evaluate_with_trust(self, lam):
+    def evaluate_with_trust(self, lam, radii=None):
         """Values and per-point trust flags; batched over (..., d) points.
 
         A point with an infinite or NaN coordinate is NaN and untrusted; it
         skips the kernel, where it would meet inf - inf.
+
+        With ``radii``, ``lam`` holds directions, (m, d) or one (d,), and
+        the flat results of length m * len(radii) are at the points
+        radii[k] * lam[j], direction-major, as ``norms.ray_probe_plan``
+        orders them. A non-finite direction or radius gives NaN, untrusted.
         """
         lam = np.asarray(lam, dtype=float)
+        if radii is not None:
+            return self._evaluate_rays(np.atleast_2d(lam),
+                                       np.asarray(radii, dtype=float).ravel())
         single = lam.ndim == 1
         pts = np.atleast_2d(lam)
         ok = np.all(np.isfinite(pts), axis=1)
         vals = np.full(pts.shape[0], np.nan)
         trusted = np.zeros(pts.shape[0], dtype=bool)
-        vals[ok], trusted[ok] = self._evaluate_block(pts[ok])
+        vals[ok], trusted[ok] = self._evaluate_part(pts[ok])
         if single:
             return float(vals[0]), bool(trusted[0])
         return vals, trusted
 
-    def _evaluate_block(self, pts):
-        """Split the points into one contiguous part per usable CPU, at most
-        one per row block of their sign flips.
-
-        A point's value does not depend on the part or block that holds it,
-        so the split changes no output bit.
-        """
-        m = pts.shape[0]
-        blocks = -(-m * len(self._signs) // self._block_rows)
-        parts = min(_worker_count(), m, blocks)
-        if parts <= 1:
-            return self._evaluate_part(pts)
-        # imported on first use: with logging it adds about 3 ms and 0.7 MB
-        # to every process that imports exptail
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(parts) as pool:
-            done = list(pool.map(self._evaluate_part,
-                                 [pts[lo:hi] for lo, hi in _split(m, parts)]))
-        return (np.concatenate([vals for vals, _ in done]),
-                np.concatenate([trusted for _, trusted in done]))
-
     def _evaluate_part(self, pts):
-        """Values and trust flags of a run of points, whose flips are
-        consecutive rows, one row block at a time in one reused buffer;
-        each point keeps its largest flip, the first one on ties."""
+        """Direct kernel: values and trust flags of a run of points, whose
+        flips are consecutive rows, one row block at a time in one buffer."""
         data = self._data
         n, d = data.shape
         flips = (pts[:, None, :] * self._signs).reshape(-1, d)
@@ -574,11 +689,107 @@ class EmpiricalNaturalFunction:
             np.exp(T, out=T)
             S[lo:hi] = T.sum(axis=1)
             lme[lo:hi] = M + np.log(S[lo:hi]) - math.log(n)
-        lme = lme.reshape(-1, len(self._signs))
-        pick = (np.arange(lme.shape[0]), np.argmax(lme, axis=1))
-        trusted = S.reshape(lme.shape)[pick] >= 10.0
-        best = np.maximum(lme[pick], 0.0)   # Jensen floor for centered samples
-        return best, trusted
+        shape = (pts.shape[0], len(self._signs))
+        return _best_flip(lme.reshape(shape), S.reshape(shape))
+
+    def _evaluate_rays(self, dirs, radii):
+        """Values and trust flags at radii x directions, direction-major:
+        binned sums where they serve, the direct kernel elsewhere."""
+        vals = np.full((dirs.shape[0], radii.size), np.nan)
+        trusted = np.zeros(vals.shape, dtype=bool)
+        finite = np.isfinite(radii)
+        level = np.full(radii.size, -1)
+        level[finite] = _ray_levels(radii[finite])
+        binned = np.flatnonzero(level >= 0)
+        rays = np.flatnonzero(np.isfinite(dirs).all(axis=1))
+        direct = np.zeros(vals.shape, dtype=bool)
+        direct[rays] = finite
+        if binned.size and rays.size:
+            lme, S, wide = self._ray_sums(dirs[rays], radii[binned],
+                                          level[binned])
+            flips = lme.shape[2]
+            best, ok = _best_flip(lme[~wide].reshape(-1, flips),
+                                  S[~wide].reshape(-1, flips))
+            sub = np.ix_(rays[~wide], binned)
+            vals[sub] = best.reshape(-1, binned.size)
+            trusted[sub] = ok.reshape(-1, binned.size)
+            direct[sub] = False
+        j, k = np.nonzero(direct)
+        if j.size:
+            vals[j, k], trusted[j, k] = self._evaluate_part(
+                radii[k, None] * dirs[j])
+        return vals.ravel(), trusted.ravel()
+
+    def _ray_rows(self, u):
+        """Level-0 bins of each row of direction u, t = sum_q h_q u_q xi_q
+        for h in the first half of the sign vectors, as (first bin index,
+        moments Q (K, bins), max t, min t); None when a row spans more bins
+        than there are samples."""
+        data = self._data
+        n = data.shape[0]
+        rows = []
+        for h in self._signs[:len(self._signs) // 2]:
+            w = h * u
+            t = data[:, 0] * w[0]
+            for q in range(1, data.shape[1]):
+                t += data[:, q] * w[q]
+            b = t * (1.0 / _RAY_BIN)
+            b += 0.5
+            np.floor(b, out=b)             # index of the nearest bin center
+            lo, hi = b.min(), b.max()
+            if not hi - lo < n:
+                return None
+            size = int(hi - lo) + 1
+            t_max, t_min = t.max(), t.min()
+            power = np.multiply(b, _RAY_BIN)
+            t -= power                     # offset from the bin's center
+            b -= lo
+            idx = b.astype(np.intp)
+            del b
+            Q = np.empty((_RAY_TERMS, size))
+            Q[0] = np.bincount(idx, minlength=size)
+            power[:] = t
+            Q[1] = np.bincount(idx, power, size)
+            for k in range(2, _RAY_TERMS):
+                power *= t
+                Q[k] = np.bincount(idx, power, size) / math.factorial(k)
+            rows.append((int(lo), Q, t_max, t_min))
+        return rows
+
+    def _ray_sums(self, dirs, radii, level):
+        """Log-mean-exps and sums S of every sign flip at the points
+        radii x dirs, (len(dirs), len(radii), 2^d) each, and a mask of the
+        directions with a row too wide to bin (their entries are unset).
+        Row i of the first half of the sign vectors gives flip i at r and
+        its negation, flip 2^d - 1 - i, at -r. Rows are summed in groups of
+        about _RAY_BLOCK moments."""
+        flips = len(self._signs)
+        signed = np.concatenate([radii, -radii])
+        levels = np.concatenate([level, level])
+        top = np.zeros((len(dirs), flips // 2, signed.size))
+        S = np.ones_like(top)
+        wide = np.zeros(len(dirs), dtype=bool)
+        group, members, bins = [], [], 0
+        for j, u in enumerate(dirs):
+            rows = self._ray_rows(u)
+            if rows is None:
+                wide[j] = True
+            else:
+                group += rows
+                members.append(j)
+                bins += sum(Q.shape[1] for _, Q, _, _ in rows)
+            if members and (bins * _RAY_TERMS >= _RAY_BLOCK
+                            or j == len(dirs) - 1):
+                sums = _binned_sums(group, signed, levels)
+                top[members], S[members] = (
+                    x.reshape(len(members), flips // 2, -1) for x in sums)
+                group, members, bins = [], [], 0
+        lme = top + np.log(S) - math.log(self._data.shape[0])
+        # (dirs, rows, +-r) -> (dirs, r, flips): flips 2^d - 1 - i reversed
+        lme, S = (np.concatenate([x[..., :radii.size].transpose(0, 2, 1),
+                                  x[:, ::-1, radii.size:].transpose(0, 2, 1)],
+                                 axis=2) for x in (lme, S))
+        return lme, S, wide
 
     def trust_radius(self, direction) -> float:
         """Largest of 48 log-spaced radii in [0.01, 64] along ``direction``
@@ -586,7 +797,7 @@ class EmpiricalNaturalFunction:
         u = np.asarray(direction, dtype=float)
         u = u / np.linalg.norm(u)
         radii = np.geomspace(1e-2, 64.0, 48)
-        _, trusted = self.evaluate_with_trust(radii[:, None] * u[None, :])
+        _, trusted = self.evaluate_with_trust(u, radii=radii)
         if not trusted[0]:
             return radii[0]
         if np.all(trusted):
@@ -606,7 +817,7 @@ class EmpiricalNaturalFunction:
         if lam_max is None:
             lam_max = self.trust_radius(np.ones(1))
         grid = np.linspace(0.0, lam_max, resolution)
-        vals, _ = self.evaluate_with_trust(grid[:, None])
+        vals, _ = self.evaluate_with_trust(np.ones(1), radii=grid)
         vals = np.maximum(vals, 0.0)
         vals[0] = 0.0
         hessian = np.atleast_2d(np.var(self._data, ddof=1))

@@ -43,10 +43,14 @@ class NormEstimate:
 
 @dataclass(frozen=True)
 class ProbePlan:
-    """A finite set of probe vectors with a printable description."""
+    """A finite set of probe vectors with a printable description. A plan
+    of rays also keeps its directions and radii, whose products are its
+    points, direction-major."""
 
     points: np.ndarray
     description: str
+    directions: Optional[np.ndarray] = None
+    radii: Optional[np.ndarray] = None
 
 
 def ray_probe_plan(d: int, n_directions: int = 37, r_lo: float = 0.05,
@@ -57,13 +61,19 @@ def ray_probe_plan(d: int, n_directions: int = 37, r_lo: float = 0.05,
     pts = (dirs[:, None, :] * radii[None, :, None]).reshape(-1, d)
     desc = (f"rays(dirs={dirs.shape[0]},radii={n_radii},"
             f"r=[{r_lo:g},{r_hi:g}])")
-    return ProbePlan(pts, desc)
+    return ProbePlan(pts, desc, dirs, radii)
 
 
-def _eval_mgf(mgf_log, pts: np.ndarray):
-    """Values plus trust flags; plain callables are fully trusted."""
+def _eval_mgf(mgf_log, pts: np.ndarray, plan: Optional[ProbePlan] = None):
+    """Values plus trust flags at ``pts``, the points of ``plan`` if given;
+    plain callables are fully trusted. A natural function evaluates a plan
+    of rays along its rays."""
     if hasattr(mgf_log, "evaluate_with_trust"):
-        vals, trusted = mgf_log.evaluate_with_trust(pts)
+        if plan is not None and plan.radii is not None:
+            vals, trusted = mgf_log.evaluate_with_trust(plan.directions,
+                                                        radii=plan.radii)
+        else:
+            vals, trusted = mgf_log.evaluate_with_trust(pts)
         return np.asarray(vals, dtype=float), np.asarray(trusted, dtype=bool)
     vals = np.asarray(mgf_log(pts), dtype=float)
     return vals, np.ones(pts.shape[0], dtype=bool)
@@ -82,7 +92,7 @@ def bphi_norm(mgf_log, phi: YoungFunction, plan: Optional[ProbePlan] = None,
     """
     plan = plan or ray_probe_plan(phi.dimension)
     pts = plan.points
-    vals, trusted = _eval_mgf(mgf_log, pts)
+    vals, trusted = _eval_mgf(mgf_log, pts, plan)
     # +inf values stay: they force the cap unless the support absorbs them
     keep = trusted & ~np.isnan(vals)
     n_discard = int(np.sum(~keep))

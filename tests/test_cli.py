@@ -1,11 +1,16 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
-from exptail.cli import (ExperimentConfig, ResultRecord, emit_table, main,
-                         records_from_json, run)
+from exptail.cli import (EXPERIMENTS, ExperimentConfig, ResultRecord,
+                         emit_table, main, records_from_json, run)
 from exptail.errors import ConfigError
+
+
+#: the repository root, for the shipped configs
+ROOT = Path(__file__).parents[1]
 
 
 def write_config(tmp_path, name, payload):
@@ -44,6 +49,27 @@ class TestConfig:
         # explicit config seed beats the environment
         monkeypatch.setenv("EXPTAIL_SEED", "55")
         assert ExperimentConfig.from_dict(TAIL_CFG).seed == TAIL_CFG["seed"]
+
+    def test_unknown_key_is_named(self):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_dict({**TAIL_CFG, "tol": 0.5, "bogus": 1})
+        assert info.value.key == "tol"
+        assert "bogus" in info.value.message
+
+    def test_unknown_case_key_is_named(self):
+        case = {k: v for k, v in TAIL_CFG.items()
+                if k not in ("experiment", "seed")}
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_dict({"experiment": "verify-suite",
+                                        "cases": [case, {**case, "grid": 3}]})
+        assert info.value.key == "cases[1].grid"
+
+    @pytest.mark.parametrize("path", [
+        *sorted(ROOT.glob("configs/*.json")),
+        ROOT / "perfbench" / "equivalence.json"], ids=lambda p: p.name)
+    def test_shipped_configs_load(self, path):
+        cfg = ExperimentConfig.from_file(path)
+        assert cfg.experiment in EXPERIMENTS
 
 
 class TestRunTailbound:

@@ -14,8 +14,8 @@ from exptail.empirical import (CenteredCustom, EmpiricalNaturalFunction,
                                UniformBox, _logcosh_expectation,
                                _weibull_grid, analytic_natural_function,
                                empirical_variance, min_coordinate_tail,
-                               natural_function, sample, sample_sum,
-                               tail_function, vector_moment)
+                               SampleSet, natural_function, sample,
+                               sample_sum, tail_function, vector_moment)
 from exptail.errors import ParameterError
 from exptail.norms import ray_probe_plan
 from exptail.vectors import EXP_FLOOR, enumerate_sign_vectors, log_cosh
@@ -288,10 +288,9 @@ class TestNaturalKernel:
         assert vals[2] == nat.evaluate(pts[2]) and trusted[2]
 
     @pytest.mark.parametrize("m", [1, 64])
-    def test_non_finite_point_raises_no_warning(self, monkeypatch, m):
+    def test_non_finite_point_raises_no_warning(self, m):
         # inf - inf in the kernel warned; a non-finite point never reaches
-        # it, so a caller needs no errstate. 64 points run as four parts.
-        monkeypatch.setattr(empirical, "_worker_count", lambda: 4)
+        # it, so a caller needs no errstate
         nat = natural_function(sample(Gaussian(np.eye(2)), 2000, 1))
         pts = np.geomspace(0.05, 3.0, m)[:, None] * np.array([[1.0, -0.5]])
         pts[0] = [np.inf, 0.0]
@@ -320,6 +319,129 @@ class TestNaturalKernel:
     def test_empty_batch(self, d):
         nat = natural_function(sample(Gaussian(np.eye(d)), 1000, 3))
         vals, trusted = nat.evaluate_with_trust(np.zeros((0, d)))
+        assert vals.shape == trusted.shape == (0,)
+        assert trusted.dtype == bool
+
+
+#: trust_radius's radii
+TRUST_RADII = np.geomspace(1e-2, 64.0, 48)
+
+
+def _ray_points(dirs, radii):
+    """radii x directions, direction-major, as ray_probe_plan orders them."""
+    return (dirs[:, None, :] * radii[None, :, None]).reshape(-1, dirs.shape[1])
+
+
+@pytest.fixture(scope="module")
+def kernel_rays(kernel_nat):
+    """The default plan's rays and trust_radius's ray along the diagonal,
+    with long-double values and top-term shares at their points."""
+    d = kernel_nat.dimension
+    plan = ray_probe_plan(d)
+    rays = [(plan.directions, plan.radii),
+            (np.ones((1, d)) / math.sqrt(d), TRUST_RADII)]
+    return [(dirs, radii, *_long_double_natural(kernel_nat,
+                                                 _ray_points(dirs, radii)))
+            for dirs, radii in rays]
+
+
+class TestRayKernel:
+    """``evaluate_with_trust(directions, radii=radii)``: binned Taylor sums
+    along each direction's sign-flip rows."""
+
+    def test_plan_keeps_its_rays(self):
+        plan = ray_probe_plan(2)
+        assert np.array_equal(plan.points,
+                              _ray_points(plan.directions, plan.radii))
+
+    def test_matches_long_double_reference(self, kernel_nat, kernel_rays):
+        for dirs, radii, want_vals, want_share in kernel_rays:
+            vals, trusted = kernel_nat.evaluate_with_trust(dirs, radii=radii)
+            want_vals = want_vals.astype(float)
+            assert np.all(np.abs(vals - want_vals)
+                          <= 1e-10 * np.abs(want_vals))
+            assert np.array_equal(trusted, want_share <= 0.1)
+
+    @pytest.mark.parametrize("dist", [
+        Gaussian(np.eye(2)), RademacherScaled(1.0, 1),
+        SymmetricWeibull(4.0, 1.0, 2),
+        Gaussian([[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 2.0]])],
+        ids=["gaussian_d2", "rademacher_d1", "weibull4_d2", "gaussian_d3"])
+    def test_value_does_not_depend_on_batch(self, dist):
+        nat = natural_function(sample(dist, 20_000, 14))
+        plan = ray_probe_plan(dist.dimension)
+        dirs = plan.directions
+        # 0, a radius per level and two past the binned range
+        radii = np.concatenate([plan.radii, [0.0, 1e-3, 0.3, 64.0, 70.0]])
+        vals, trusted = nat.evaluate_with_trust(dirs, radii=radii)
+        vals = vals.reshape(len(dirs), -1)
+        trusted = trusted.reshape(vals.shape)
+        for j in range(0, len(dirs), 7):
+            alone = nat.evaluate_with_trust(dirs[j], radii=radii)
+            assert np.array_equal(alone[0], vals[j])
+            assert np.array_equal(alone[1], trusted[j])
+            for k in range(len(radii)):
+                v, t = nat.evaluate_with_trust(dirs[j], radii=radii[k:k + 1])
+                assert v[0] == vals[j, k] and t[0] == trusted[j, k]
+        some_vals, some_trusted = nat.evaluate_with_trust(dirs[1::3],
+                                                          radii=radii[::2])
+        assert np.array_equal(some_vals.reshape(-1, len(radii[::2])),
+                              vals[1::3, ::2])
+        assert np.array_equal(some_trusted.reshape(-1, len(radii[::2])),
+                              trusted[1::3, ::2])
+
+    @pytest.mark.parametrize("outlier", [None, [30.0, -4.0], [1e4, -1e4]],
+                             ids=["no_outlier", "near_outlier", "far_outlier"])
+    def test_matches_direct_kernel(self, outlier):
+        # radii past 64 and a sample with one outlier, which widens every
+        # row's span of bins; the far one past the sample count
+        data = sample(Gaussian(np.eye(2)), 20_000, 14).data.copy()
+        if outlier is not None:
+            data[123] = outlier
+        nat = natural_function(SampleSet(data, 14, "outlier"))
+        dirs = ray_probe_plan(2).directions[::4]
+        radii = np.array([0.05, 1.0, 4.0, 50.0, 64.0, 64.5, 100.0, 300.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, trusted = nat.evaluate_with_trust(dirs, radii=radii)
+            want_vals, want_trusted = nat.evaluate_with_trust(
+                _ray_points(dirs, radii))
+        assert np.all(np.abs(vals - want_vals) <= 1e-10 * np.abs(want_vals))
+        assert np.array_equal(trusted, want_trusted)
+
+    def test_non_finite_direction_or_radius(self):
+        nat = natural_function(sample(Gaussian(np.eye(2)), 2000, 1))
+        dirs = np.array([[1.0, 0.0], [np.nan, 1.0], [np.inf, 0.0],
+                         [0.6, -0.8]])
+        radii = np.array([0.5, np.nan, np.inf, -np.inf, 2.0, 100.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, trusted = nat.evaluate_with_trust(dirs, radii=radii)
+        vals = vals.reshape(4, 6)
+        trusted = trusted.reshape(4, 6)
+        ok = np.isfinite(dirs).all(axis=1)[:, None] & np.isfinite(radii)
+        assert np.all(np.isnan(vals[~ok])) and not np.any(trusted[~ok])
+        want_vals, want_trusted = nat.evaluate_with_trust(
+            dirs[[0, 3]], radii=radii[[0, 4, 5]])
+        assert np.array_equal(vals[ok], want_vals)
+        assert np.array_equal(trusted[ok], want_trusted)
+
+    def test_default_plan_peak_memory(self):
+        nat = natural_function(sample(Gaussian(np.eye(2)), 20_000, 14))
+        plan = ray_probe_plan(2)
+        tracemalloc.start()
+        try:
+            nat.evaluate_with_trust(plan.directions, radii=plan.radii)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 2)])
+    def test_empty_batch(self, shape):
+        nat = natural_function(sample(Gaussian(np.eye(2)), 1000, 3))
+        radii = np.geomspace(0.1, 1.0, 4)[:1 if shape[0] == 0 else 0]
+        vals, trusted = nat.evaluate_with_trust(np.ones(shape), radii=radii)
         assert vals.shape == trusted.shape == (0,)
         assert trusted.dtype == bool
 
@@ -353,6 +475,15 @@ class TestAnalyticNaturalFunction:
         assert vals[0] == 0.0
         assert vals[1] == pytest.approx(math.log(math.sinh(1.4) / 1.4),
                                         rel=1e-10)
+
+    def test_uniform_mgf_is_inf_past_overflow(self):
+        # log(sinh a / a) grows like a - log(2a): +inf once a overflows
+        f = UniformBox([2.0]).mgf_log()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = f(np.array([[np.inf], [1e308], [-1e308], [1e305]]))
+        assert np.all(vals[:3] == np.inf)
+        assert vals[3] == pytest.approx(2e305, rel=1e-15)
 
 
 class TestTailFunction:
