@@ -43,8 +43,17 @@ class TailBound:
 
 
 def chernov_bound(phi: YoungFunction, norm: float, x,
-                  evaluator: Optional[ConjugateEvaluator] = None) -> TailBound:
+                  evaluator: Optional[ConjugateEvaluator] = None
+                  ) -> TailBound | list[TailBound]:
     """exp(-phi*(x / norm)) for a vector x >= 0 and a norm certificate.
+
+    A point (a (d,) array or a flat list) gives one ``TailBound``. A
+    two-dimensional (m, d) array is a batch: it gives a list of m
+    ``TailBound``s from one ``ConjugateEvaluator.values`` call, and an
+    empty batch gives ``[]``. Row i of a batch equals the lone call on
+    ``x[i]`` bit for bit as long as phi evaluates each row alone, whatever
+    the rest of its batch, as every built-in family does; rows that share
+    a first conjugation box then share one grid and one evaluation of phi.
 
     ``evaluator`` lets a caller conjugate through its own (for example an
     instrumented) ``ConjugateEvaluator``; it must have been built for this
@@ -52,13 +61,24 @@ def chernov_bound(phi: YoungFunction, norm: float, x,
     """
     if norm <= 0:
         raise ParameterError("norm must be positive")
-    x = np.asarray(x, dtype=float).ravel()
-    if np.any(x < 0):
+    batch = np.ndim(x) == 2
+    X = np.asarray(x, dtype=float)
+    if not batch:
+        X = X.ravel()[None, :]
+    if np.any(X < 0):
         raise ParameterError("x must be nonnegative")
+    if X.shape[1] != phi.dimension:
+        raise ParameterError("x dimension mismatch with phi")
     if evaluator is not None and evaluator.phi is not phi:
         raise ParameterError("evaluator was built for a different phi")
-    ev = evaluator or ConjugateEvaluator(phi)
-    res = ev.value(x / norm)
+    if X.shape[0] == 0:
+        return []
+    res = (evaluator or ConjugateEvaluator(phi)).values(X / norm)
+    bounds = [_tail_bound(phi, norm, X[i], res[i]) for i in range(X.shape[0])]
+    return bounds if batch else bounds[0]
+
+
+def _tail_bound(phi, norm, x, res) -> TailBound:
     ingredients = {"phi": phi.family, "norm": norm, "conjugate_slack": res.slack}
     if res.diverged:
         return TailBound(x, 0.0, math.inf, res.slack, clamped=False,

@@ -309,22 +309,21 @@ def _certify(tb, tail_sample, bound_scale: float, floor: float) -> dict:
 
 def _tail_rows(experiment, case_name, phi, dist, x_pts, n, reps, seed,
                bound_scale):
-    """Fit a norm, bound each x, certify against a fresh empirical tail."""
+    """Fit a norm, bound every x in one call, certify each against a fresh
+    empirical tail; a skipped case draws no tail sample."""
     est = None if phi.y_membership != "full" else _fit_norm(dist, phi, n, seed)
     reason = _skip_reason(phi, est)
+    if reason is not None:
+        return [_skip_row(experiment, _row_inputs(case_name, 1, x), seed,
+                          reason) for x in x_pts], 0
     tail_sample = sample(dist, reps, seed + _TAIL_SEED_OFFSET)
     floor = 10.0 / reps
     records, failures = [], 0
-    for x in x_pts:
-        inputs = _row_inputs(case_name, 1, x)
-        if reason is not None:
-            records.append(_skip_row(experiment, inputs, seed, reason))
-            continue
-        tb = chernov_bound(phi, est.value, x)
+    for tb in chernov_bound(phi, est.value, x_pts):
         outputs = _certify(tb, tail_sample, bound_scale, floor)
         failures += outputs["verdict"] == "fail"
         records.append(ResultRecord(
-            experiment, inputs, outputs,
+            experiment, _row_inputs(case_name, 1, tb.x), outputs,
             seed, provenance={"norm": est.value, "slack": tb.slack,
                               "exponent": tb.exponent}))
     return records, failures
@@ -347,13 +346,13 @@ def _sum_rows(experiment, case_name, phi, dist, x_pts, n_set, n, reps, seed,
                           seed + _TAIL_SEED_OFFSET + k)
         sigma = sum_norm_pythagoras(
             SumSpec(tuple([est.value] * int(n_terms)), int(n_terms)), phi, cert)
-        for x in x_pts:
-            tb = chernov_bound(phi, sigma, x)
+        for tb in chernov_bound(phi, sigma, x_pts):
             outputs = _certify(tb, sums, bound_scale, floor)
             failures += outputs["verdict"] == "fail"
             records.append(ResultRecord(
-                experiment, _row_inputs(case_name, int(n_terms), x), outputs,
-                seed, provenance={"sigma_n": sigma, "norm": est.value}))
+                experiment, _row_inputs(case_name, int(n_terms), tb.x),
+                outputs, seed,
+                provenance={"sigma_n": sigma, "norm": est.value}))
     return records, failures
 
 

@@ -76,20 +76,24 @@ class ConjugateBatch:
 
 def _chunked_scores(Y, X, phiX):
     """Per-row argmax of Y X^T - phi(X), chunking the row dimension so that
-    a chunk's score block holds at most ``_SCORE_BLOCK`` entries.
+    a chunk's score block holds at most ``_SCORE_BLOCK`` entries, or two rows.
 
     Every chunk is scored in place in one full-block buffer, so a call holds
     one block of scores at a time however many rows it has, and calls on any
-    number of rows (one per box size) reuse one allocation, not a new heap."""
+    number of rows (one per box size) reuse one allocation, not a new heap.
+    A one-row chunk is scored as two copies of its row: a one-row product
+    would go to BLAS gemv, whose rounding differs from gemm's, so a row's
+    scores would depend on how many rows share its box."""
     m = Y.shape[0]
     n = X.shape[0]
-    step = max(1, _SCORE_BLOCK // max(n, 1))
+    step = max(2, _SCORE_BLOCK // max(n, 1))
     best_val = np.empty(m)
     best_idx = np.empty(m, dtype=np.int64)
     buf = np.empty((step, n))
     for lo in range(0, m, step):
         hi = min(m, lo + step)
-        scores = np.matmul(Y[lo:hi], X.T, out=buf[:hi - lo])
+        rows = Y[lo:hi] if hi - lo > 1 else Y[[lo, lo]]
+        scores = np.matmul(rows, X.T, out=buf[:rows.shape[0]])[:hi - lo]
         scores -= phiX
         idx = np.argmax(scores, axis=1)
         best_idx[lo:hi] = idx

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,15 +12,20 @@ from exptail.bounds import (SumSpec, chernov_bound, lower_bound,
                             sum_bound_via_phi_n, sum_norm_pythagoras,
                             transform_norm, uniform_sum_bound,
                             uniform_sum_bound_via_phi_bar)
+from exptail.cli import _x_points
 from exptail.conjugate import ConjugateEvaluator
 from exptail.empirical import (Gaussian, RademacherScaled, SymmetricWeibull,
                                natural_function, sample, sample_sum,
                                tail_function)
 from exptail.errors import OutsideSupportError, ParameterError
 from exptail.norms import bphi_norm, ray_probe_plan
+from exptail.specs import young_from_spec
 from exptail.vectors import log_mean_exp, log_mean_exp_se
 from exptail.young import (check_lambda2, make_bounded_support, make_custom,
                            make_logcosh, make_power, make_quadratic)
+
+#: the repository root, for the shipped configs
+ROOT = Path(__file__).parents[1]
 
 
 class TestChernovBound:
@@ -59,6 +66,72 @@ class TestChernovBound:
         tb = chernov_bound(phi, 1.0, [2.0])
         assert tb.diverged and tb.bound == 0.0
         assert tb.escaping_ray is not None
+
+
+def _verify_suite_grids(spec):
+    """The x grids of the verify-suite cases whose phi is ``spec``."""
+    suite = json.loads((ROOT / "configs" / "verify_suite.json").read_text())
+    phi = young_from_spec(spec)
+    return [_x_points(case["x"], phi.dimension) for case in suite["cases"]
+            if case["phi"] == spec]
+
+
+class TestBatchedChernovBound:
+    """An (m, d) batch gives m TailBounds, each the lone call's bits."""
+
+    FIELDS = ("bound", "exponent", "slack", "clamped", "diverged")
+
+    def _assert_rows_equal_lone_calls(self, phi, tau, X):
+        batch = chernov_bound(phi, tau, X)
+        assert isinstance(batch, list) and len(batch) == X.shape[0]
+        for x, tb in zip(X, batch):
+            lone = chernov_bound(phi, tau, x)
+            assert isinstance(lone, type(tb))
+            for name in self.FIELDS:
+                assert getattr(tb, name) == getattr(lone, name), name
+            assert np.array_equal(tb.x, x)
+            if lone.escaping_ray is None:
+                assert tb.escaping_ray is None
+            else:
+                assert np.array_equal(tb.escaping_ray, lone.escaping_ray)
+        return batch
+
+    @pytest.mark.parametrize("spec", ["quadratic{B=[[1]]}",
+                                      "quadratic{B=[[1,0],[0,1]]}"])
+    @pytest.mark.parametrize("tau", [1.0, 1.0211847, 0.72])
+    def test_verify_suite_grids(self, spec, tau):
+        grids = _verify_suite_grids(spec)
+        assert grids
+        phi = young_from_spec(spec)
+        for X in grids:
+            self._assert_rows_equal_lone_calls(phi, tau, X)
+
+    def test_logcosh_mixes_finite_and_diverged_rows(self):
+        X = np.array([[0.25], [0.5], [2.0], [0.75], [3.0], [0.0]])
+        batch = self._assert_rows_equal_lone_calls(make_logcosh(1), 1.0, X)
+        assert [tb.diverged for tb in batch] == [False, False, True, False,
+                                                 True, False]
+        assert all(tb.escaping_ray is not None for tb in batch
+                   if tb.diverged)
+
+    def test_rejects_negative_entry_and_wrong_width(self):
+        phi = make_quadratic(np.eye(2))
+        with pytest.raises(ParameterError):
+            chernov_bound(phi, 1.0, np.array([[1.0, 1.0], [1.0, -0.5]]))
+        with pytest.raises(ParameterError):
+            chernov_bound(phi, 1.0, np.ones((3, 3)))
+        with pytest.raises(ParameterError):
+            chernov_bound(phi, 1.0, np.ones((0, 3)))
+
+    def test_empty_batch(self):
+        assert chernov_bound(make_quadratic(np.eye(2)), 1.0,
+                             np.ones((0, 2))) == []
+
+    def test_lone_forms_give_one_bound(self):
+        phi = make_quadratic([[1.0]])
+        for x in ([2.0], np.array([2.0]), 2.0):
+            tb = chernov_bound(phi, 1.0, x)
+            assert tb.exponent == pytest.approx(2.0, rel=1e-9)
 
 
 class TestMinCoordinateBound:

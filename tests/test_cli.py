@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from exptail import cli
 from exptail.cli import (EXPERIMENTS, ExperimentConfig, ResultRecord,
                          emit_table, main, records_from_json, run)
+from exptail.empirical import sample
 from exptail.errors import ConfigError
 
 
@@ -159,6 +161,24 @@ class TestVerifySuite:
         assert status == 0
         assert all(r.outputs["verdict"] == "skip" for r in records)
 
+    def test_relaxed_membership_case_draws_no_tail_sample(self, monkeypatch):
+        # every row of a power-phi case is skipped, so it samples nothing
+        calls = []
+
+        def counting_sample(*args, **kwargs):
+            calls.append(args)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sample", counting_sample)
+        records, status = run(ExperimentConfig.from_dict({
+            "experiment": "tailbound", "seed": 1,
+            "phi": "power{p=4,c=1,d=1}", "dist": "rademacher{scale=1,d=1}",
+            "x": {"start": 0.2, "stop": 0.8, "step": 0.2},
+            "n": 2000, "reps": 2000}))
+        assert status == 0 and len(records) == 4
+        assert all(r.outputs["verdict"] == "skip" for r in records)
+        assert calls == []
+
     def test_wall_time_per_case(self, tmp_path):
         suite = self._suite()
         second = {**suite["cases"][0], "name": "gq_big", "n": 16000,
@@ -243,6 +263,14 @@ class TestMainEntry:
                                    "direction": [1, 1]}})
         assert main(["tailbound", path]) == 0
         assert out.exists()
+
+    def test_empty_x_grid_exits_zero_with_no_rows(self, tmp_path, capsys):
+        path = write_config(tmp_path, "e.json",
+                            {**TAIL_CFG, "x": {"start": 2.0, "stop": 1.0,
+                                               "step": 0.5,
+                                               "direction": [1, 1]}})
+        assert main(["tailbound", path]) == 0
+        assert capsys.readouterr().out == ""
 
     def test_malformed_json_exit_two(self, tmp_path):
         p = tmp_path / "broken.json"

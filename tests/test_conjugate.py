@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exptail.bounds import phi_bar_function
-from exptail.conjugate import (ConjugateEvaluator, biconjugate_residual,
-                               conjugate, log_reparam, log_reparam_conjugate,
-                               pattern_search, ray_inverse)
+from exptail.conjugate import (ConjugateEvaluator, _chunked_scores,
+                               biconjugate_residual, conjugate, log_reparam,
+                               log_reparam_conjugate, pattern_search,
+                               ray_inverse)
 from exptail.empirical import (Gaussian, SymmetricWeibull, natural_function,
                                sample)
 from exptail.errors import ParameterError
@@ -242,6 +243,18 @@ class TestBatchIndependence:
             assert batch.values[i] == alone.value
             assert batch.slack[i] == alone.slack
             assert np.array_equal(batch.argmax[i], alone.argmax)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_grid_scores_do_not_depend_on_rows_sharing_a_box(self, d):
+        # a one-row product would go to BLAS gemv, which rounds otherwise
+        # than gemm, so a one-row chunk is scored as two rows
+        X = box_grid(-4.0, np.full(d, 4.0), 33)
+        phiX = 0.5 * np.sum(X * X, axis=1)
+        Y = np.abs(np.random.default_rng(1).standard_normal((40, d))) * 1.37
+        val, idx = _chunked_scores(Y, X, phiX)
+        for i in range(Y.shape[0]):
+            lone_val, lone_idx = _chunked_scores(Y[i:i + 1], X, phiX)
+            assert lone_val[0] == val[i] and lone_idx[0] == idx[i]
 
     def test_logcosh_small_rows_beside_divergent_ones(self):
         # the y of a CLI `conjugate` run: the rows above 1 diverge, and their

@@ -540,6 +540,71 @@ class TestMinCoordinateTail:
         assert total == pytest.approx(got, abs=1e-12)
 
 
+def _tail_reference(s, x):
+    """The joint-exceedance formula the column-wise count replaced."""
+    best = 0.0
+    for eps in enumerate_sign_vectors(s.dimension):
+        best = max(best, float(np.mean(np.all(s.data * eps > x, axis=1))))
+    return best
+
+
+def _min_tail_reference(s, y):
+    return float(np.mean(np.all(np.abs(s.data) > y, axis=1)))
+
+
+class TestColumnwiseTailCount:
+    """tail_function and min_coordinate_tail count hits column by column;
+    the probabilities equal the np.all / np.mean formulas bit for bit."""
+
+    @staticmethod
+    def _samples(d):
+        return [sample(Gaussian(np.eye(d)), 3001, seed=d),
+                sample(RademacherScaled(1.0, d), 2000, seed=d)]
+
+    @staticmethod
+    def _thresholds(s):
+        # ties at the coordinates of sample rows, 0, a far threshold, and
+        # rows that mix a tie, 0 and 1e3
+        ties = np.abs(s.data[[0, 1, s.n // 2, s.n - 1]])
+        d = s.dimension
+        mixed = ties[0].copy()
+        mixed[0] = 0.0
+        if d > 1:
+            mixed[-1] = 1e3
+        return [*ties, np.zeros(d), np.full(d, 1e3), mixed]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_tail_function_equals_reference(self, d):
+        for s in self._samples(d):
+            for x in self._thresholds(s):
+                got = tail_function(s, x)
+                want = _tail_reference(s, x)
+                assert got.probability == want
+                assert got.half_width == empirical._binomial_half_width(
+                    want, s.n)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_min_coordinate_tail_equals_reference(self, d):
+        for s in self._samples(d):
+            ys = [float(v) for v in np.abs(s.data[[0, 1, s.n - 1], 0])]
+            for y in ys + [1e-300, 1e3]:
+                got = min_coordinate_tail(s, y)
+                want = _min_tail_reference(s, y)
+                assert got.probability == want
+                assert got.half_width == empirical._binomial_half_width(
+                    want, s.n)
+
+    def test_min_coordinate_tail_rejects_zero(self, gauss2_sample):
+        with pytest.raises(ParameterError):
+            min_coordinate_tail(gauss2_sample, 0.0)
+
+    def test_tail_function_rejects_bad_thresholds(self, gauss2_sample):
+        with pytest.raises(ParameterError):
+            tail_function(gauss2_sample, [1.0, -0.5])
+        with pytest.raises(ParameterError):
+            tail_function(gauss2_sample, [1.0, 1.0, 1.0])
+
+
 class TestVectorMoment:
     def test_second_moment_d1(self, gauss1_sample):
         assert vector_moment(gauss1_sample, [2.0]) == pytest.approx(1.0, abs=0.02)
