@@ -3,12 +3,19 @@
 One experiment per invocation: ``exptail <subcommand> config.json
 [--seed N] [--out PATH]``. Configs are JSON; identical configs produce
 byte-identical CSV output. Exit status: 0 all verdicts pass, 1 any
-bound-violation verdict, 2 config error.
+bound-violation verdict, 2 config error, including a bad option value.
+
+``tailbound``, ``sumbound`` and ``verify-suite`` certify cases in one
+loop: a tail case is the one-term sum case without the Lambda_2 gate.
+A certified record's provenance holds ``norm``, ``sigma_n``, ``slack``
+and ``exponent``; a skipped one holds its ``reason``. A run with no rows
+writes an empty table.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -23,7 +30,7 @@ from .characterize import check_absolutely_monotonic, check_octant_monotonic
 from .conjugate import ConjugateEvaluator
 from .empirical import (natural_function, sample, sample_sum, tail_function,
                         vector_moment)
-from .errors import ConfigError, ExptailError
+from .errors import ConfigError
 from .norms import (OrliczFunction, bphi_norm, equivalence_report,
                     gls_norm_vector, luxemburg_norm)
 from .specs import distribution_from_spec, function_from_spec, young_from_spec
@@ -148,9 +155,8 @@ def _jsonable(obj):
 
 def emit_table(records, fmt: str, path) -> None:
     """Write records as CSV (stable column order, 17 significant digits)
-    or as a JSON array that round-trips through ``records_from_json``."""
-    if not records:
-        raise ExptailError("no records to emit")
+    or as a JSON array that round-trips through ``records_from_json``.
+    No records give an empty file or ``[]``."""
     path = Path(path)
     if fmt == "csv":
         cols = []
@@ -162,7 +168,7 @@ def emit_table(records, fmt: str, path) -> None:
         for r in records:
             cells = r.csv_cells()
             lines.append(",".join(_fmt(cells.get(c, "")) for c in cols))
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n" if records else "")
     elif fmt == "json":
         payload = [_jsonable(asdict(r)) for r in records]
         path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
@@ -183,24 +189,51 @@ def _need(options: dict, key: str):
     return options[key]
 
 
-def _x_points(spec, d: int) -> np.ndarray:
-    """Explicit point list, or {start, stop, step|count, direction} ray grid."""
-    if isinstance(spec, dict):
-        try:
+def _integer(key: str, value, low: int = 1) -> int:
+    """``value`` as an integer >= low; a float such as 2.5 is an error."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(key, f"must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def _positive(key: str, value) -> float:
+    """``value`` as a finite float > 0."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 < value < math.inf):
+        raise ConfigError(key, f"must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
+def _x_points(spec, d: int, key: str = "x") -> np.ndarray:
+    """Explicit point list, or {start, stop, step|count, direction} ray grid,
+    as an (m, d) array of finite points."""
+    try:
+        if isinstance(spec, dict):
             start, stop = float(spec["start"]), float(spec["stop"])
-        except KeyError as exc:
-            raise ConfigError("x", f"grid missing {exc}") from None
-        direction = np.asarray(spec.get("direction", np.ones(d)), dtype=float)
-        if direction.size != d:
-            raise ConfigError("x.direction", f"needs {d} components")
-        if "step" in spec:
-            ts = np.arange(start, stop + 1e-12, float(spec["step"]))
+            direction = np.asarray(spec.get("direction", np.ones(d)),
+                                   dtype=float)
+            if direction.shape != (d,):
+                raise ConfigError(f"{key}.direction", f"needs {d} components")
+            if "step" in spec:
+                step = _positive(f"{key}.step", spec["step"])
+                ts = np.arange(start, stop + 1e-12, step)
+            else:
+                count = _integer(f"{key}.count", spec.get("count", 9), low=0)
+                ts = np.linspace(start, stop, count)
+            pts = ts[:, None] * direction[None, :]
         else:
-            ts = np.linspace(start, stop, int(spec.get("count", 9)))
-        return ts[:, None] * direction[None, :]
-    pts = np.atleast_2d(np.asarray(spec, dtype=float))
-    if pts.shape[1] != d:
-        raise ConfigError("x", f"points must have dimension {d}")
+            pts = np.atleast_2d(np.asarray(spec, dtype=float))
+    except KeyError as exc:
+        raise ConfigError(key, f"grid missing {exc}") from None
+    except ConfigError:
+        raise
+    except (TypeError, ValueError):
+        raise ConfigError(key, "points must be numbers in a rectangular "
+                               "list") from None
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise ConfigError(key, f"points must have dimension {d}")
+    if not np.all(np.isfinite(pts)):
+        raise ConfigError(key, "points must be finite")
     return pts
 
 
@@ -213,17 +246,11 @@ def _phi_and_dist(options: dict) -> tuple:
     return phi, dist
 
 
-def _fit_norm(dist, phi, n: int, seed: int):
-    fit = sample(dist, n, seed)
-    nat = natural_function(fit)
-    return bphi_norm(nat, phi)
-
-
 # -- experiment handlers ------------------------------------------------------
 
 def _run_conjugate(cfg: ExperimentConfig) -> tuple:
     phi = young_from_spec(_need(cfg.options, "phi"))
-    Y = _x_points(_need(cfg.options, "y"), phi.dimension)
+    Y = _x_points(_need(cfg.options, "y"), phi.dimension, key="y")
     ev = ConjugateEvaluator(phi)
     batch = ev.values(Y)
     records = []
@@ -242,7 +269,7 @@ def _run_conjugate(cfg: ExperimentConfig) -> tuple:
 
 def _run_norm(cfg: ExperimentConfig) -> tuple:
     phi, dist = _phi_and_dist(cfg.options)
-    n = int(cfg.options.get("n", 20000))
+    n = _integer("n", cfg.options.get("n", 20000))
     space = cfg.options.get("space", "all")
     if space not in ("bphi", "gls", "orlicz", "all"):
         raise ConfigError("space", f"unknown space {space!r}")
@@ -268,111 +295,79 @@ def _run_norm(cfg: ExperimentConfig) -> tuple:
     return records, 0
 
 
-def _skip_reason(phi, est) -> Optional[str]:
-    # a singular origin Hessian admits no nondegenerate member, so the
-    # domination premise is unsatisfiable; cap hits mean the same in practice
-    if phi.y_membership != "full":
-        return "phi_membership_relaxed"
-    if est is not None and est.exceeded_cap:
-        return "norm_exceeds_cap"
-    return None
-
-
-def _row_inputs(case_name, n_terms: int, x) -> dict:
-    inputs = {"case": case_name, "n_terms": n_terms}
-    inputs.update({f"x_{j + 1}": float(x[j]) for j in range(x.size)})
-    return inputs
-
-
-def _skip_row(experiment, inputs, seed, reason) -> ResultRecord:
-    return ResultRecord(
-        experiment, inputs,
-        {"bound": "", "empirical": "", "width": "", "verdict": "skip"},
-        seed, provenance={"reason": reason})
-
-
-def _certify(tb, tail_sample, bound_scale: float, floor: float) -> dict:
-    """Outputs of one certified row: the scaled bound against a fresh
-    empirical tail at tb.x, and the verdict."""
-    emp = tail_function(tail_sample, tb.x)
-    bound = tb.bound * bound_scale
-    guarded = tb.bound_with_slack * bound_scale
-    if bound < floor and emp.probability < floor:
-        verdict = "skip"        # both below MC resolution
-    elif guarded >= emp.probability - 3.0 * emp.half_width:
-        verdict = "pass"
-    else:
-        verdict = "fail"
-    return {"bound": float(bound), "empirical": emp.probability,
-            "width": emp.half_width, "verdict": verdict}
-
-
-def _tail_rows(experiment, case_name, phi, dist, x_pts, n, reps, seed,
-               bound_scale):
-    """Fit a norm, bound every x in one call, certify each against a fresh
-    empirical tail; a skipped case draws no tail sample."""
-    est = None if phi.y_membership != "full" else _fit_norm(dist, phi, n, seed)
-    reason = _skip_reason(phi, est)
-    if reason is not None:
-        return [_skip_row(experiment, _row_inputs(case_name, 1, x), seed,
-                          reason) for x in x_pts], 0
-    tail_sample = sample(dist, reps, seed + _TAIL_SEED_OFFSET)
-    floor = 10.0 / reps
-    records, failures = [], 0
-    for tb in chernov_bound(phi, est.value, x_pts):
-        outputs = _certify(tb, tail_sample, bound_scale, floor)
-        failures += outputs["verdict"] == "fail"
-        records.append(ResultRecord(
-            experiment, _row_inputs(case_name, 1, tb.x), outputs,
-            seed, provenance={"norm": est.value, "slack": tb.slack,
-                              "exponent": tb.exponent}))
-    return records, failures
-
-
-def _sum_rows(experiment, case_name, phi, dist, x_pts, n_set, n, reps, seed,
-              bound_scale):
-    est = None if phi.y_membership != "full" else _fit_norm(dist, phi, n, seed)
-    cert = check_lambda2(phi, trial_count=2000, seed=seed)
-    floor = 10.0 / reps
-    records, failures = [], 0
-    for k, n_terms in enumerate(n_set):
-        reason = _skip_reason(phi, est) or (None if cert.holds else "no_lambda2")
-        if reason is not None:
-            records.extend(_skip_row(experiment,
-                                     _row_inputs(case_name, int(n_terms), x),
-                                     seed, reason) for x in x_pts)
-            continue
-        sums = sample_sum(dist, int(n_terms), reps,
-                          seed + _TAIL_SEED_OFFSET + k)
-        sigma = sum_norm_pythagoras(
-            SumSpec(tuple([est.value] * int(n_terms)), int(n_terms)), phi, cert)
-        for tb in chernov_bound(phi, sigma, x_pts):
-            outputs = _certify(tb, sums, bound_scale, floor)
-            failures += outputs["verdict"] == "fail"
-            records.append(ResultRecord(
-                experiment, _row_inputs(case_name, int(n_terms), tb.x),
-                outputs, seed,
-                provenance={"sigma_n": sigma, "norm": est.value}))
-    return records, failures
-
-
 def _case_rows(experiment, case: dict, name, seed: int) -> tuple:
-    """Certified rows and failure count of one tail or sum case."""
+    """Certified rows and failure count of one tail or sum case.
+
+    A tail case is the sum case with ``n_set`` [1] and no Lambda_2 gate:
+    its sigma is the fitted norm, which ``sum_norm_pythagoras`` gives
+    exactly for one term, and its tail sample is the one-term sum. The
+    skip reason is decided once per case, and a skipped case draws no tail
+    sample.
+    """
     phi, dist = _phi_and_dist(case)
     x_pts = _x_points(case.get("x", {"start": 0.5, "stop": 2.0,
                                      "step": 0.5}), phi.dimension)
-    n = int(case.get("n", 20000))
-    reps = int(case.get("reps", 20000))
-    scale = float(case.get("bound_scale", 1.0))
+    if np.any(x_pts < 0.0):
+        raise ConfigError("x", "points must be nonnegative")
+    n = _integer("n", case.get("n", 20000))
+    reps = _integer("reps", case.get("reps", 20000))
+    scale = _positive("bound_scale", case.get("bound_scale", 1.0))
     kind = case.get("kind", "tail")
     if kind == "tail":
-        return _tail_rows(experiment, name, phi, dist, x_pts, n, reps, seed,
-                          scale)
-    if kind == "sum":
-        n_set = [int(v) for v in case.get("n_set", [1, 4, 16])]
-        return _sum_rows(experiment, name, phi, dist, x_pts, n_set, n, reps,
-                         seed, scale)
-    raise ConfigError("kind", f"unknown kind {kind!r}")
+        n_set = [1]
+    elif kind == "sum":
+        raw = case.get("n_set", [1, 4, 16])
+        if not isinstance(raw, list) or not raw:
+            raise ConfigError("n_set", f"must be a nonempty list, got {raw!r}")
+        n_set = [_integer(f"n_set[{j}]", v) for j, v in enumerate(raw)]
+    else:
+        raise ConfigError("kind", f"unknown kind {kind!r}")
+    # a singular origin Hessian admits no nondegenerate member, so the
+    # domination premise is unsatisfiable; cap hits mean the same in practice
+    est = cert = reason = None
+    if phi.y_membership != "full":
+        reason = "phi_membership_relaxed"
+    else:
+        est = bphi_norm(natural_function(sample(dist, n, seed)), phi)
+        if est.exceeded_cap:
+            reason = "norm_exceeds_cap"
+        elif kind == "sum":
+            cert = check_lambda2(phi, trial_count=2000, seed=seed)
+            reason = None if cert.holds else "no_lambda2"
+    floor = 10.0 / reps
+    records, failures = [], 0
+    for k, n_terms in enumerate(n_set):
+        rows = [{"case": name, "n_terms": n_terms,
+                 **{f"x_{j + 1}": float(v) for j, v in enumerate(x)}}
+                for x in x_pts]
+        if reason is not None:
+            records.extend(ResultRecord(
+                experiment, inputs,
+                {"bound": "", "empirical": "", "width": "", "verdict": "skip"},
+                seed, provenance={"reason": reason}) for inputs in rows)
+            continue
+        tails = sample_sum(dist, n_terms, reps, seed + _TAIL_SEED_OFFSET + k)
+        sigma = est.value if cert is None else sum_norm_pythagoras(
+            SumSpec((est.value,) * n_terms, n_terms), phi, cert)
+        for inputs, tb in zip(rows, chernov_bound(phi, sigma, x_pts)):
+            emp = tail_function(tails, tb.x)
+            bound = tb.bound * scale
+            if bound < floor and emp.probability < floor:
+                verdict = "skip"        # both below MC resolution
+            elif tb.bound_with_slack * scale >= (emp.probability
+                                                 - 3.0 * emp.half_width):
+                verdict = "pass"
+            else:
+                verdict = "fail"
+            failures += verdict == "fail"
+            records.append(ResultRecord(
+                experiment, inputs,
+                {"bound": float(bound), "empirical": emp.probability,
+                 "width": emp.half_width, "verdict": verdict},
+                seed, provenance={"norm": est.value, "sigma_n": sigma,
+                                  "slack": tb.slack,
+                                  "exponent": tb.exponent}))
+    return records, failures
 
 
 def _run_case(cfg: ExperimentConfig, idx: int, case: dict) -> tuple:
@@ -427,7 +422,7 @@ def _run_characterize(cfg: ExperimentConfig) -> tuple:
 
 def _run_equivalence(cfg: ExperimentConfig) -> tuple:
     phi, dist = _phi_and_dist(cfg.options)
-    n = int(cfg.options.get("n", 20000))
+    n = _integer("n", cfg.options.get("n", 20000))
     s = sample(dist, n, cfg.seed)
     rep = equivalence_report(s, phi)
     outputs = {"bphi": rep.bphi.value, "gls": rep.gls.value,

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from exptail import cli
+from exptail import cli, empirical
 from exptail.cli import (EXPERIMENTS, ExperimentConfig, ResultRecord,
                          emit_table, main, records_from_json, run)
 from exptail.empirical import sample
@@ -337,3 +337,132 @@ class TestOtherExperiments:
         records, _ = run(cfg)
         out = records[0].outputs
         assert out["bphi"] > 0 and out["luxemburg"] > 0 and out["gls"] > 0
+
+
+#: a small tail case for tests that stop at config validation
+SMALL_CASE = {"phi": "quadratic{B=[[1,0],[0,1]]}",
+              "dist": "gaussian{Q=[[1,0],[0,1]]}",
+              "x": {"start": 0.5, "stop": 1.0, "step": 0.5,
+                    "direction": [1, 1]},
+              "n": 2000, "reps": 2000}
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("experiment, change, key", [
+        ("tailbound", {"n": 0}, "n"),
+        ("tailbound", {"reps": 0}, "reps"),
+        ("tailbound", {"n": 2.5}, "n"),
+        ("tailbound", {"reps": True}, "reps"),
+        ("tailbound", {"x": {"start": 0.5, "stop": 1.0, "count": -1}},
+         "x.count"),
+        ("tailbound", {"x": {"start": 0.5, "stop": 1.0, "step": 0}},
+         "x.step"),
+        ("tailbound", {"bound_scale": "abc"}, "bound_scale"),
+        ("tailbound", {"bound_scale": 0}, "bound_scale"),
+        ("tailbound", {"x": {"start": -1.0, "stop": 1.0, "step": 0.5}},
+         "x"),
+        ("tailbound", {"x": [[1.0, 1.0], [1.0]]}, "x"),
+        ("tailbound", {"x": [[1.0, "nan"]]}, "x"),
+        ("sumbound", {"n_set": [0]}, "n_set[0]"),
+        ("sumbound", {"n_set": [1, 2.5]}, "n_set[1]"),
+        ("sumbound", {"n_set": 4}, "n_set"),
+        ("verify-suite", {"reps": 0}, "cases[1].reps"),
+        ("verify-suite", {"kind": "sum", "n_set": [0]}, "cases[1].n_set[0]"),
+        ("norm", {"n": 0}, "n"),
+        ("equivalence", {"n": 2.5}, "n"),
+    ])
+    def test_bad_value_exits_two_naming_its_key(self, tmp_path, capsys,
+                                                experiment, change, key):
+        if experiment == "verify-suite":
+            payload = {"experiment": experiment, "seed": 0,
+                       "cases": [SMALL_CASE, {**SMALL_CASE, **change}]}
+        else:
+            payload = {"experiment": experiment, "seed": 0,
+                       **{k: v for k, v in SMALL_CASE.items()
+                          if experiment in ("tailbound", "sumbound")
+                          or k in ("phi", "dist", "n")},
+                       **change}
+        path = write_config(tmp_path, "bad.json", payload)
+        assert main([experiment, path]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+
+class TestEmptyTable:
+    @pytest.mark.parametrize("fmt, text", [("csv", ""), ("json", "[]\n")])
+    @pytest.mark.parametrize("experiment", ["tailbound", "sumbound",
+                                            "verify-suite"])
+    def test_empty_x_grid_writes_an_empty_table(self, tmp_path, experiment,
+                                                fmt, text):
+        case = {**SMALL_CASE, "x": {"start": 2.0, "stop": 1.0, "step": 0.5,
+                                    "direction": [1, 1]}}
+        payload = ({"experiment": experiment, "cases": [case]}
+                   if experiment == "verify-suite"
+                   else {"experiment": experiment, **case})
+        out = tmp_path / f"e.{fmt}"
+        path = write_config(tmp_path, "e.json", {**payload, "format": fmt})
+        assert main([experiment, path, "--out", str(out)]) == 0
+        assert out.read_text() == text
+        if fmt == "json":
+            assert records_from_json(out) == []
+
+
+#: provenance keys of every certified tail or sum record
+PROVENANCE_KEYS = {"norm", "sigma_n", "slack", "exponent"}
+
+
+def _one_case_suite(seed, **case):
+    return run(ExperimentConfig.from_dict(
+        {"experiment": "verify-suite", "seed": seed,
+         "cases": [{"name": "c", **case}]}))[0]
+
+
+class TestTailIsOneTermSum:
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_one_term_sum_case_equals_tail_case(self, seed):
+        case = {"dist": "gaussian{Q=[[1,0.3],[0.3,1]]}",
+                "phi": "quadratic{B=[[1,0],[0,1]]}",
+                "x": {"start": 0.5, "stop": 2.0, "step": 0.5,
+                      "direction": [1, 1]},
+                "n": 8000, "reps": 8000}
+        tail = _one_case_suite(seed, kind="tail", **case)
+        one = _one_case_suite(seed, kind="sum", n_set=[1], **case)
+        assert [r.csv_cells() for r in tail] == [r.csv_cells() for r in one]
+        assert {r.outputs["verdict"] for r in tail} == {"pass"}
+        for r in tail + one:
+            assert set(r.provenance) == PROVENANCE_KEYS
+            assert r.provenance["sigma_n"] == r.provenance["norm"]
+
+    def test_lambda2_gates_only_the_sum_case(self):
+        case = {"dist": "rademacher{scale=1,d=1}", "phi": "logcosh{d=1}",
+                "x": {"start": 0.2, "stop": 0.8, "step": 0.2},
+                "n": 4000, "reps": 4000}
+        tail = _one_case_suite(1, kind="tail", **case)
+        assert "skip" not in {r.outputs["verdict"] for r in tail}
+        one = _one_case_suite(1, kind="sum", n_set=[1], **case)
+        assert len(one) == len(tail)
+        assert all(r.outputs["verdict"] == "skip" and
+                   r.provenance == {"reason": "no_lambda2"} for r in one)
+
+    @pytest.mark.parametrize("case, rows", [
+        ({"kind": "tail", "phi": "power{p=4,c=1,d=1}"}, []),
+        ({"kind": "sum", "phi": "power{p=4,c=1,d=1}", "n_set": [1, 4]}, []),
+        # the Lambda_2 gate needs the fitted norm first, but no tail sample
+        ({"kind": "sum", "phi": "logcosh{d=1}", "n_set": [1, 4]}, [2000]),
+    ], ids=["tail", "sum", "no_lambda2"])
+    def test_skipped_case_draws_no_tail_sample(self, monkeypatch, case,
+                                               rows):
+        drawn = []
+
+        def counting_sample(dist, n, seed):
+            drawn.append(n)
+            return sample(dist, n, seed)
+
+        monkeypatch.setattr(cli, "sample", counting_sample)
+        monkeypatch.setattr(empirical, "sample", counting_sample)
+        records = _one_case_suite(
+            1, dist="rademacher{scale=1,d=1}",
+            x={"start": 0.2, "stop": 0.8, "step": 0.2},
+            n=2000, reps=2000, **case)
+        assert records and all(r.outputs["verdict"] == "skip"
+                               for r in records)
+        assert drawn == rows
