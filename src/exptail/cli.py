@@ -106,11 +106,16 @@ class ExperimentConfig:
                 _check_keys(case, _CASE_KEYS, f"cases[{idx}].")
         options = {k: v for k, v in raw.items() if k not in _CONFIG_KEYS}
         if seed is not None:
-            resolved_seed = int(seed)
+            key, value = "--seed", seed
         elif "seed" in raw:
-            resolved_seed = int(raw["seed"])
+            key, value = "seed", raw["seed"]
         else:
-            resolved_seed = int(os.environ.get(SEED_ENV_VAR, "0"))
+            key, value = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, "0")
+            try:
+                value = int(value)
+            except ValueError:
+                pass                    # _integer names the raw string
+        resolved_seed = _integer(key, value, low=0)
         default_fmt = "json" if exp == "norm" else "csv"
         cfg = cls(exp, options, seed=resolved_seed,
                   out=raw.get("out") if out is None else out,
@@ -398,7 +403,7 @@ def _run_characterize(cfg: ExperimentConfig) -> tuple:
     box = [(float(lo), float(hi)) for lo, hi in box_raw]
     if len(box) != d:
         raise ConfigError("box", f"needs {d} axes")
-    k_max = int(cfg.options.get("kmax", 4))
+    k_max = _integer("kmax", cfg.options.get("kmax", 4))
     eps_opt = cfg.options.get("eps")
     records = []
     if eps_opt is None:

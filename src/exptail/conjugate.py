@@ -18,8 +18,22 @@ not depend on the other rows of its batch as long as the source evaluates
 each row alone. The same two searches serve the biconjugate check and the
 log-reparameterized conjugate behind the moment norm. Reported values are
 always lower bounds of the true supremum (x = 0 is always a candidate, so
-phi* >= 0). A warm-started call polishes from the given points and
-re-solves cold every row whose polish did not converge.
+phi* >= 0).
+
+On the whole space, a source with a gradient skips the grid for each row
+whose crossing r is at most h / 2, h = 2^ceil(log2 2(1 + max|y_i|)): the
+row starts at r y / (2|y|), where the concave objective is nonnegative,
+and ``bb_ascent`` polishes it. A row with y = 0, with no crossing below
+h / 2, or whose polish does not converge is gridded, on its box from the
+same bisection. The cap keeps each seed where the rounding of the
+objective stays far below the polish tolerance (logcosh at y = 1
+"crosses" near 1e16 only by rounding).
+
+A warm-started call polishes from the given points, except the rows whose
+ray does not cross phi within the grid's reach R = h 2^60 (phi(r u) / r
+does not decrease for a convex phi with phi(0) = 0, so phi(R u) < |y| R
+rules out every crossing below R). Those rows, and every row whose polish
+did not converge, are re-solved through the grid stage.
 """
 from __future__ import annotations
 
@@ -41,6 +55,9 @@ _MAX_EXPANSIONS = 60
 _MU_LO = -40.0
 #: Entries per score block of the grid stage (8 MB).
 _SCORE_BLOCK = 1 << 20
+#: First polish step of a ray-seeded row, as a share of its crossing r; the
+#: row's slack, |gradient| times this step, takes it as the distance left.
+_SEED_CELL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -101,10 +118,18 @@ def _chunked_scores(Y, X, phiX):
     return best_val, best_idx
 
 
+def _put(out: ConjugateBatch, rows, part: ConjugateBatch) -> None:
+    for field in ("values", "argmax", "slack", "diverged", "converged"):
+        getattr(out, field)[rows] = getattr(part, field)
+
+
 class ConjugateEvaluator:
     """Conjugation of one source function; it holds only ``phi``.
 
-    The settings are fixed: a grid of ``_GRID_RES`` points per axis over the
+    The settings are fixed: on the whole space, a source with a gradient
+    starts each row with a ray crossing r <= h / 2 at r y / (2|y|) and
+    polishes it with ``bb_ascent``, with a first step of ``_SEED_CELL`` r.
+    Every other row gets a grid of ``_GRID_RES`` points per axis over the
     support's bounding box, or, on the whole space, over a per-row box sized
     from phi along the ray of y (see the module docstring) that doubles at
     most ``_MAX_EXPANSIONS`` times; then ``bb_ascent`` or
@@ -123,36 +148,50 @@ class ConjugateEvaluator:
     def values(self, Y, x0=None) -> ConjugateBatch:
         """Batched phi* at the rows of Y, which must be finite.
 
-        ``x0`` warm-starts the polish: row i starts at ``x0[i]``, with no
-        grid stage, and x = 0 stays a candidate. Only the grid stage detects
-        divergence, and a polish that stops on its step cap may sit far
-        below the supremum, so every warm row that did not converge is
-        re-solved cold within this call. For a convex phi the objective is
-        concave, so a converged warm row reaches the maximum a cold solve
-        reaches, to within the polish tolerance. Values stay lower bounds
-        of the supremum: each is the objective at a point it was evaluated.
+        Without ``x0``, rows are ray-seeded or gridded (see the class
+        docstring). ``x0`` warm-starts the polish: row i starts at
+        ``x0[i]``, with no grid stage, and x = 0 stays a candidate. Only the
+        grid stage detects divergence, and a polish that stops on its step
+        cap may sit far below the supremum, so a warm row whose ray has no
+        crossing within the grid's reach skips the polish, and it and every
+        warm or seeded row that did not converge is re-solved through the
+        grid stage within this call. For a convex phi the objective is
+        concave, so a converged row reaches the maximum the grid stage and
+        its polish reach, to within the polish tolerance. Values stay lower
+        bounds of the supremum: each is the objective at a point it was
+        evaluated.
         """
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         if Y.shape[1] != self.phi.dimension:
             raise ParameterError("query dimension mismatch")
         if not np.all(np.isfinite(Y)):
             raise ParameterError("query rows must be finite")
+        m, d = Y.shape
         if x0 is None:
-            return self._polish(Y, *self._grid_stage(Y))
-        m = Y.shape[0]
-        x = self.phi.support.project(
-            np.atleast_2d(np.asarray(x0, dtype=float)).copy())
-        out = self._polish(Y, x, self._objective(Y, x), np.full(m, 1e-3),
-                           np.zeros(m, dtype=bool))
-        below = ~(out.values >= 0.0)    # x = 0 is always a candidate
-        out.values[below] = 0.0
-        out.argmax[below] = 0.0
+            # seed the rows whose ray crosses phi at r <= h / 2 at r y/2|y|
+            h, r = self._first_box(Y)
+            start = np.isfinite(r) & self.phi.has_gradient
+            x = (0.5 * r[start])[:, None] * self._rays(Y[start])[2]
+            cell = _SEED_CELL * r[start]
+        else:
+            start = ~self._escapes(Y)
+            x = np.atleast_2d(np.asarray(x0, dtype=float))[start]
+            cell = np.full(x.shape[0], 1e-3)
+        out = ConjugateBatch(np.zeros(m), np.zeros((m, d)), np.zeros(m),
+                             np.zeros(m, dtype=bool), np.zeros(m, dtype=bool))
+        rows = np.flatnonzero(start)
+        if rows.size:
+            x, Ys = self.phi.support.project(x), Y[rows]
+            _put(out, rows, self._polish(Ys, x, self._objective(Ys, x), cell,
+                                         np.zeros(rows.size, dtype=bool)))
+            below = ~(out.values >= 0.0)    # x = 0 is always a candidate
+            out.values[below] = 0.0
+            out.argmax[below] = 0.0
         redo = np.flatnonzero(~out.converged)
         if redo.size:
-            cold = self._polish(Y[redo], *self._grid_stage(Y[redo]))
-            for field in ("values", "argmax", "slack", "diverged",
-                          "converged"):
-                getattr(out, field)[redo] = getattr(cold, field)
+            box = h[redo] if x0 is None else self._first_box(Y[redo])[0]
+            _put(out, redo, self._polish(Y[redo],
+                                         *self._grid_stage(Y[redo], box)))
         return out
 
     # -- internals ----------------------------------------------------------
@@ -161,18 +200,17 @@ class ConjugateEvaluator:
         with np.errstate(invalid="ignore"):
             return np.einsum("ij,ij->i", Y, X) - self.phi.value_ext(X)
 
-    def _grid_stage(self, Y):
-        # each row on its own box: the support's bounding box, searched once,
-        # or, on the whole space, a power-of-two box that doubles while the
-        # row's maximum sits on its edge and still grows; rows on the same
-        # box share one grid
+    def _grid_stage(self, Y, h):
+        # each row on its own box h (doubled in place): the support's
+        # bounding box, searched once, or, on the whole space, a power-of-two
+        # box that doubles while the row's maximum sits on its edge and still
+        # grows; rows on the same box share one grid
         m, d = Y.shape
         cap = self.phi.support.search_radius()
         res = _GRID_RES.get(d, 9)
         best_val = np.zeros(m)          # x = 0 is always a candidate
         best_x = np.zeros((m, d))
         diverged = np.zeros(m, dtype=bool)
-        h = self._first_box(Y) if math.isinf(cap) else np.full(m, cap)
         active = np.ones(m, dtype=bool)
         prev_val = np.full(m, -np.inf)
         n_exp = np.zeros(m, dtype=np.int64)
@@ -195,19 +233,39 @@ class ConjugateEvaluator:
             h[active] *= 2.0
         return best_x, best_val, h * 2.0 / (res - 1), diverged
 
-    def _first_box(self, Y):
-        # the smaller of 2^ceil(log2 2(1 + max|y_i|)) and 2^ceil(log2 2r), r
-        # bisected on [h 2^-60, h / 2]; y = 0 or no crossing there keeps h
+    @staticmethod
+    def _rays(Y):
+        # the |y|-sized box 2^ceil(log2 2(1 + max|y_i|)), |y| and y/|y|
+        # (0 at y = 0)
         h = 2.0 ** np.ceil(np.log2(2.0 * (1.0 + np.max(np.abs(Y), axis=1))))
         n = np.linalg.norm(Y, axis=1)
-        u = Y / np.where(n > 0.0, n, 1.0)[:, None]
+        return h, n, Y / np.where(n > 0.0, n, 1.0)[:, None]
+
+    def _first_box(self, Y):
+        # each row's first box and its ray crossing r, bisected on
+        # [h 2^-60, h / 2]: the smaller of h and 2^ceil(log2 2r), and r = inf
+        # at y = 0 or with no crossing there; a bounded support's box is its
+        # search radius, with no crossing
+        cap = self.phi.support.search_radius()
+        if not math.isinf(cap):
+            return np.full(Y.shape[0], cap), np.full(Y.shape[0], np.inf)
+        h, n, u = self._rays(Y)
 
         def ok(r, rows):
             phi_r = self.phi.value_ext(r[:, None] * u[rows])
             return (n[rows] > 0.0) & (phi_r >= n[rows] * r)
 
         r = bisect_rows(ok, h * 2.0 ** -60, h / 2.0, 0.5, h / 2.0)[1]
-        return np.minimum(h, 2.0 ** np.ceil(np.log2(2.0 * r)))
+        return np.minimum(h, 2.0 ** np.ceil(np.log2(2.0 * r))), r
+
+    def _escapes(self, Y):
+        # rows whose ray does not cross phi by R = h 2^_MAX_EXPANSIONS, the
+        # grid's reach: phi(r u) / r does not decrease for a convex phi with
+        # phi(0) = 0, so phi(R u) < |y| R means no crossing at all below R
+        h, n, u = self._rays(Y)
+        R = h * 2.0 ** _MAX_EXPANSIONS
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (n > 0.0) & (self.phi.value_ext(R[:, None] * u) < n * R)
 
     def _polish(self, Y, x, val, cell, diverged):
         # a diverged row is +inf whatever a polish does: it keeps its grid

@@ -2,6 +2,7 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from exptail import cli, empirical
@@ -9,6 +10,7 @@ from exptail.cli import (EXPERIMENTS, ExperimentConfig, ResultRecord,
                          emit_table, main, records_from_json, run)
 from exptail.empirical import sample
 from exptail.errors import ConfigError
+from exptail.specs import young_from_spec
 
 
 #: the repository root, for the shipped configs
@@ -466,3 +468,67 @@ class TestTailIsOneTermSum:
         assert records and all(r.outputs["verdict"] == "skip"
                                for r in records)
         assert drawn == rows
+
+
+#: a small conjugate config for tests of the seed
+CONJ_CFG = {"experiment": "conjugate", "phi": "quadratic{B=[[1]]}",
+            "y": [[1.0]]}
+CHAR_CFG = {"experiment": "characterize", "function": "exp_linear{w=[1,1]}",
+            "box": [[0, 1], [0, 1]], "seed": 0}
+
+
+class TestSeedAndKmax:
+    """The seed, from the config, ``--seed`` or ``EXPTAIL_SEED``, is an
+    integer >= 0 and characterize's ``kmax`` an integer >= 1; anything
+    else exits 2 and names its key."""
+
+    @pytest.mark.parametrize("payload, argv, key", [
+        ({**CONJ_CFG, "seed": "abc"}, [], "seed"),
+        ({**CONJ_CFG, "seed": 2.5}, [], "seed"),
+        ({**CONJ_CFG, "seed": -1}, [], "seed"),
+        ({**CONJ_CFG, "seed": True}, [], "seed"),
+        ({**CONJ_CFG, "seed": 3}, ["--seed", "-1"], "--seed"),
+        ({**CHAR_CFG, "kmax": 2.5}, [], "kmax"),
+        ({**CHAR_CFG, "kmax": 0}, [], "kmax"),
+        ({**CHAR_CFG, "kmax": "3"}, [], "kmax"),
+    ])
+    def test_bad_value_exits_two_naming_its_key(self, tmp_path, capsys,
+                                                payload, argv, key):
+        path = write_config(tmp_path, "bad.json", payload)
+        assert main([payload["experiment"], path, *argv]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "-3", ""])
+    def test_bad_env_seed_exits_two(self, tmp_path, capsys, monkeypatch,
+                                    value):
+        monkeypatch.setenv("EXPTAIL_SEED", value)
+        path = write_config(tmp_path, "c.json", CONJ_CFG)
+        assert main(["conjugate", path]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: EXPTAIL_SEED: ")
+
+    def test_good_values_pass(self, monkeypatch):
+        monkeypatch.setenv("EXPTAIL_SEED", "12")
+        assert ExperimentConfig.from_dict(CONJ_CFG).seed == 12
+        assert ExperimentConfig.from_dict({**CONJ_CFG, "seed": 0}).seed == 0
+        assert ExperimentConfig.from_dict(CONJ_CFG, seed=0).seed == 0
+        records, status = run(ExperimentConfig.from_dict(
+            {**CHAR_CFG, "kmax": 1}))
+        assert status == 0 and records[0].inputs["kmax"] == 1
+
+
+class TestConjugateQuadraticD5:
+    def test_rows_match_closed_form(self, tmp_path):
+        # the CI config: a correlated B at d = 5, some rows ray-seeded and
+        # some on the 9^5 grid
+        path = ROOT / "configs" / "conjugate_quadratic_d5.json"
+        cfg = ExperimentConfig.from_file(path, out=str(tmp_path / "c.csv"))
+        records, status = run(cfg)
+        B = young_from_spec(cfg.options["phi"]).params["B"]
+        Y = np.array([[r.inputs[f"y_{j + 1}"] for j in range(5)]
+                      for r in records])
+        want = 0.5 * np.einsum("ij,ij->i", Y, np.linalg.solve(B, Y.T).T)
+        got = np.array([r.outputs["phi_star"] for r in records])
+        assert status == 0 and len(records) == 5
+        assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+        assert not any(r.outputs["diverged"] for r in records)

@@ -17,7 +17,8 @@ from exptail.errors import ParameterError
 from exptail.specs import young_from_spec
 from exptail.vectors import box_grid
 from exptail.young import (SupportRegion, make_bounded_support, make_custom,
-                           make_logcosh, make_power, make_quadratic)
+                           make_logcosh, make_power, make_quadratic,
+                           make_radial)
 
 
 def _random_pd(rng, d):
@@ -364,6 +365,161 @@ class TestDivergedRowsSkipPolish:
         batch = ConjugateEvaluator(make_logcosh(1)).values([[2.0], [-2.0]])
         assert np.all(batch.diverged) and not np.any(batch.converged)
         assert np.all(np.isinf(batch.values))
+
+
+def _count_polished_rows(monkeypatch):
+    """The row count of each ``bb_ascent`` call, appended as it is made."""
+    polished = []
+    inner = conjugate_module.bb_ascent
+
+    def counted(f, x, *args):
+        polished.append(x.shape[0])
+        return inner(f, x, *args)
+
+    monkeypatch.setattr(conjugate_module, "bb_ascent", counted)
+    return polished
+
+
+class TestWarmScreen:
+    """A warm row whose ray has no crossing within the grid's reach skips
+    the warm polish and goes straight to the cold path."""
+
+    def test_escaping_rows_skip_the_warm_polish(self, monkeypatch):
+        polished = _count_polished_rows(monkeypatch)
+        ev = ConjugateEvaluator(make_logcosh(1))
+        Y = np.array([[0.5], [1.5], [-3.0]])
+        warm = ev.values(Y, x0=np.array([[0.4], [0.6], [-1.0]]))
+        assert polished == [1]
+        assert list(warm.diverged) == [False, True, True]
+        assert warm.values[0] == pytest.approx(_logcosh_star([[0.5]])[0],
+                                               rel=1e-12)
+
+    def test_rows_with_a_crossing_are_polished_warm(self, monkeypatch):
+        polished = _count_polished_rows(monkeypatch)
+        ev = ConjugateEvaluator(make_quadratic(_B2))
+        Y = np.random.default_rng(8).standard_normal((30, 2)) * 40.0
+        warm = ev.values(Y, x0=np.linalg.solve(_B2, Y.T).T * 0.9)
+        assert polished == [30]
+        assert np.all(warm.converged)
+
+
+#: 3-D matrices whose leading blocks give the d = 1, 2 and 3 sources
+_B3 = np.array([[1.0, 0.5, 0.2], [0.5, 2.0, 0.3], [0.2, 0.3, 1.5]])
+_Q3 = np.array([[1.0, 0.2, 0.1], [0.2, 1.0, 0.3], [0.1, 0.3, 2.0]])
+
+
+def _seeded_source(name, d):
+    """(phi, half-width of the drawn rows, closed form or None)."""
+    if name == "quadratic":
+        B = _B3[:d, :d]
+        return (make_quadratic(B), 3.0, lambda Y: 0.5 * np.einsum(
+            "ij,ij->i", Y, np.linalg.solve(B, Y.T).T))
+    if name.startswith("power"):
+        # the crossing (1.5 |y|)^2 of p = 1.5 passes h / 2 beyond |y| = 1
+        p = float(name[5:])
+        return (make_power(p, 1.0, d), 0.5 if p < 2.0 else 3.0,
+                lambda Y: _power_star(p, Y))
+    if name == "logcosh":
+        return make_logcosh(d), 0.95, _logcosh_star
+    return (make_radial(lambda z: np.asarray(z) ** 2, _Q3[:d, :d],
+                        nu_prime=lambda z: 2.0 * np.asarray(z)), 3.0, None)
+
+
+def _grid_path(ev, Y):
+    """Today's grid stage and polish on every row, seeded or not."""
+    return ev._polish(Y, *ev._grid_stage(Y, ev._first_box(Y)[0]))
+
+
+class TestSeededColdPath:
+    """On the whole space, a source with a gradient starts each row with a
+    ray crossing at r <= h / 2 at r y / (2 |y|) and polishes it; the grid
+    serves the rest."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["quadratic", "power1.5", "power3",
+                                      "power4", "logcosh", "radial"])
+    def test_matches_grid_path(self, name, d):
+        phi, span, closed_form = _seeded_source(name, d)
+        assert phi.has_gradient
+        Y = np.random.default_rng(d).uniform(-span, span, (40, d))
+        ev = ConjugateEvaluator(phi)
+        r = ev._first_box(Y)[1]
+        assert np.count_nonzero(np.isfinite(r)) >= 10
+        got = ev.values(Y)
+        want = _grid_path(ev, Y)
+        assert np.all(got.converged) and not np.any(got.diverged)
+        tol = 1e-12 * (1.0 + np.abs(want.values))
+        assert np.all(got.values >= want.values - tol)
+        assert np.allclose(got.values, want.values, rtol=1e-10, atol=0.0)
+        if closed_form is not None:
+            exact = closed_form(Y)
+            assert np.all(got.values <= exact + 1e-12 * (1.0 + exact))
+        for i in range(Y.shape[0]):
+            alone = ev.value(Y[i])
+            assert got.values[i] == alone.value
+            assert got.slack[i] == alone.slack
+            assert np.array_equal(got.argmax[i], alone.argmax)
+
+    def test_logcosh_at_one_is_at_most_ln2(self):
+        ev = ConjugateEvaluator(make_logcosh(1))
+        for Y in ([[1.0]], [[1.0], [0.25], [-1.0]]):
+            got = ev.values(np.array(Y)).values
+            assert got[0] <= math.log(2.0)
+            assert got[0] >= math.log(2.0) - 1e-12
+
+    def test_no_grid_when_every_row_is_seeded(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("box_grid called")
+
+        monkeypatch.setattr(conjugate_module, "box_grid", no_grid)
+        # |y| <= 0.9, so each crossing 2 |y| of phi = |x|^2 / 2 lies below
+        # h / 2 = 2
+        rng = np.random.default_rng(11)
+        Y = rng.standard_normal((500, 2))
+        Y *= 0.9 * rng.uniform(0.0, 1.0, (500, 1)) / np.linalg.norm(
+            Y, axis=1, keepdims=True)
+        got = ConjugateEvaluator(make_quadratic(np.eye(2))).values(Y)
+        assert np.all(got.converged)
+        assert np.allclose(got.values, 0.5 * np.sum(Y * Y, axis=1),
+                           rtol=1e-12, atol=0.0)
+
+    def test_one_bisection_per_row(self, monkeypatch):
+        # a seeded row, a row with no crossing below h / 2 and a row of 0:
+        # one bisection over all three rows serves the seeds and the boxes
+        calls = []
+        inner = conjugate_module.bisect_rows
+
+        def counted(ok, lo, hi, *args):
+            calls.append(np.broadcast_arrays(lo, hi)[0].size)
+            return inner(ok, lo, hi, *args)
+
+        monkeypatch.setattr(conjugate_module, "bisect_rows", counted)
+        got = ConjugateEvaluator(make_logcosh(1)).values(
+            np.array([[0.25], [1.5], [0.0]]))
+        assert calls == [3]
+        assert list(got.diverged) == [False, True, False]
+        assert got.values[2] == 0.0
+
+    @pytest.mark.parametrize("phi", [
+        make_bounded_support(1.0, 1.0),
+        make_custom(1, lambda x: 0.25 * np.asarray(x)[..., 0] ** 4)],
+        ids=["bounded", "gradient_less"])
+    def test_other_sources_keep_the_grid(self, phi, monkeypatch):
+        grids = []
+        inner = conjugate_module.box_grid
+
+        def counted(*args):
+            grids.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(conjugate_module, "box_grid", counted)
+        Y = np.array([[0.3], [2.0], [-1.5]])
+        ev = ConjugateEvaluator(phi)
+        got = ev.values(Y)
+        assert grids
+        want = _grid_path(ev, Y)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.argmax, want.argmax)
 
 
 def _sequential_pattern_search(f, x, v, cell, project, cap):
