@@ -8,17 +8,20 @@ phi(r y / |y|) >= |y| r, past which the objective is negative along the
 ray of y; the box doubles while the row's maximum sits on its edge and
 still grows, and a row that grows through every doubling is diverged,
 +inf. A local search then polishes every other row: ``bb_ascent``
-(projected Barzilai-Borwein) when the source has a gradient,
-``pattern_search`` (coordinate pattern search) otherwise. The pattern
-search stays for kinked sources such as a tabulated natural function,
-where it lands closer to the vertex maximum than gradient ascent; it
-evaluates both signs of an axis, for every running row, in one call of
-the source. Both searches stop each row on its own, so a row's value does
-not depend on the other rows of its batch as long as the source evaluates
-each row alone. The same two searches serve the biconjugate check and the
-log-reparameterized conjugate behind the moment norm. Reported values are
-always lower bounds of the true supremum (x = 0 is always a candidate, so
-phi* >= 0).
+(projected Barzilai-Borwein) when the source has a gradient; otherwise
+``line_search`` (a bracketed Brent search) when d = 1 and
+``pattern_search`` (coordinate pattern search) when d >= 2. The
+gradient-less searches serve kinked sources such as a tabulated natural
+function or the envelope phi-bar, where they land closer to the vertex
+maximum than gradient ascent. Both first evaluate x + cell and x - cell
+along an axis, for every running row, in one call of the source; the line
+search then takes one point per running row and call, about a quarter of
+the pattern search's calls. Every search stops each row on its own, so a
+row's value does not depend on the other rows of its batch as long as the
+source evaluates each row alone. The same searches serve the biconjugate
+check; the log-reparameterized conjugate behind the moment norm keeps
+``pattern_search`` at every d. Reported values are always lower bounds of
+the true supremum (x = 0 is always a candidate, so phi* >= 0).
 
 On the whole space, a source with a gradient skips the grid for each row
 whose crossing r is at most h / 2, h = 2^ceil(log2 2(1 + max|y_i|)): the
@@ -55,6 +58,13 @@ _MAX_EXPANSIONS = 60
 _MU_LO = -40.0
 #: Entries per score block of the grid stage (8 MB).
 _SCORE_BLOCK = 1 << 20
+#: Step growth of ``line_search``'s bracketing walk, and the golden-section
+#: share 2 - 1.618 of its Brent loop.
+_GOLD = 0.5 * (1.0 + math.sqrt(5.0))
+_CGOLD = 2.0 - _GOLD
+#: Step caps of ``line_search``'s walk and of its Brent loop.
+_WALK_STEPS = 60
+_BRENT_STEPS = 200
 #: First polish step of a ray-seeded row, as a share of its crossing r; the
 #: row's slack, |gradient| times this step, takes it as the distance left.
 _SEED_CELL = 1e-6
@@ -100,18 +110,23 @@ def _chunked_scores(Y, X, phiX):
     number of rows (one per box size) reuse one allocation, not a new heap.
     A one-row chunk is scored as two copies of its row: a one-row product
     would go to BLAS gemv, whose rounding differs from gemm's, so a row's
-    scores would depend on how many rows share its box."""
+    scores would depend on how many rows share its box. A point where phi is
+    +inf scores -inf, also where y . x overflows to +inf."""
     m = Y.shape[0]
     n = X.shape[0]
     step = max(2, _SCORE_BLOCK // max(n, 1))
     best_val = np.empty(m)
     best_idx = np.empty(m, dtype=np.int64)
     buf = np.empty((step, n))
+    off = np.flatnonzero(np.isposinf(phiX))
     for lo in range(0, m, step):
         hi = min(m, lo + step)
         rows = Y[lo:hi] if hi - lo > 1 else Y[[lo, lo]]
-        scores = np.matmul(rows, X.T, out=buf[:rows.shape[0]])[:hi - lo]
-        scores -= phiX
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = np.matmul(rows, X.T, out=buf[:rows.shape[0]])[:hi - lo]
+            scores -= phiX
+        if off.size:
+            scores[:, off] = -np.inf
         idx = np.argmax(scores, axis=1)
         best_idx[lo:hi] = idx
         best_val[lo:hi] = scores[np.arange(hi - lo), idx]
@@ -132,8 +147,9 @@ class ConjugateEvaluator:
     Every other row gets a grid of ``_GRID_RES`` points per axis over the
     support's bounding box, or, on the whole space, over a per-row box sized
     from phi along the ray of y (see the module docstring) that doubles at
-    most ``_MAX_EXPANSIONS`` times; then ``bb_ascent`` or
-    ``pattern_search``, started with the row's grid cell.
+    most ``_MAX_EXPANSIONS`` times; then ``bb_ascent``, or, for a source
+    without a gradient, ``line_search`` at d = 1 and ``pattern_search``
+    above, started with the row's grid cell.
     """
 
     def __init__(self, phi: YoungFunction):
@@ -197,7 +213,7 @@ class ConjugateEvaluator:
     # -- internals ----------------------------------------------------------
 
     def _objective(self, Y, X):
-        with np.errstate(invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             return np.einsum("ij,ij->i", Y, X) - self.phi.value_ext(X)
 
     def _grid_stage(self, Y, h):
@@ -218,7 +234,9 @@ class ConjugateEvaluator:
             for hv in np.unique(h[active]):
                 rows = np.flatnonzero(active & (h == hv))
                 X = box_grid(-hv, np.full(d, hv), res)
-                val, idx = _chunked_scores(Y[rows], X, self.phi.value_ext(X))
+                with np.errstate(over="ignore"):
+                    phiX = self.phi.value_ext(X)
+                val, idx = _chunked_scores(Y[rows], X, phiX)
                 take = val > best_val[rows]
                 best_val[rows[take]] = val[take]
                 best_x[rows[take]] = X[idx[take]]
@@ -236,9 +254,13 @@ class ConjugateEvaluator:
     @staticmethod
     def _rays(Y):
         # the |y|-sized box 2^ceil(log2 2(1 + max|y_i|)), |y| and y/|y|
-        # (0 at y = 0)
-        h = 2.0 ** np.ceil(np.log2(2.0 * (1.0 + np.max(np.abs(Y), axis=1))))
-        n = np.linalg.norm(Y, axis=1)
+        # (0 at y = 0); |y| = s |y / s| with s the power of two at max|y_i|:
+        # scaling by s is exact, so |y| keeps the plain norm's bits wherever
+        # that norm is finite, and it does not overflow above 1.3e154
+        top = np.max(np.abs(Y), axis=1)
+        h = 2.0 ** np.ceil(np.log2(2.0 * (1.0 + top)))
+        e = np.frexp(top)[1][:, None]
+        n = np.ldexp(np.linalg.norm(np.ldexp(Y, -e), axis=1), e[:, 0])
         return h, n, Y / np.where(n > 0.0, n, 1.0)[:, None]
 
     def _first_box(self, Y):
@@ -252,8 +274,12 @@ class ConjugateEvaluator:
         h, n, u = self._rays(Y)
 
         def ok(r, rows):
-            phi_r = self.phi.value_ext(r[:, None] * u[rows])
-            return (n[rows] > 0.0) & (phi_r >= n[rows] * r)
+            # phi past the float range is +inf; an |y| r past it decides
+            # nothing, so it counts as no crossing and the grid takes the row
+            with np.errstate(over="ignore"):
+                phi_r = self.phi.value_ext(r[:, None] * u[rows])
+                nr = n[rows] * r
+            return (n[rows] > 0.0) & np.isfinite(nr) & (phi_r >= nr)
 
         r = bisect_rows(ok, h * 2.0 ** -60, h / 2.0, 0.5, h / 2.0)[1]
         return np.minimum(h, 2.0 ** np.ceil(np.log2(2.0 * r))), r
@@ -286,15 +312,19 @@ class ConjugateEvaluator:
             def f(rows, X):
                 return self._objective(Y[rows], X), Y[rows] - self.phi.grad(X)
 
-            best_x, best_v, best_g, converged = bb_ascent(
-                f, x, cell, 1.0 + np.max(np.abs(Y), axis=1), sup.project)
-            slack = (np.linalg.norm(best_g, axis=1) * cell
-                     + 1e-14 * (1.0 + np.abs(best_v)))
+            # a row whose objective passes the float range (|y| near 1e154
+            # and up) gets inf or NaN there, which never counts as a gain
+            with np.errstate(over="ignore"):
+                best_x, best_v, best_g, converged = bb_ascent(
+                    f, x, cell, 1.0 + np.max(np.abs(Y), axis=1), sup.project)
+                slack = (np.linalg.norm(best_g, axis=1) * cell
+                         + 1e-14 * (1.0 + np.abs(best_v)))
             low = val > best_v
             best_v[low] = val[low]
             best_x[low] = x[low]
         else:
-            best_x, best_v, step, converged = pattern_search(
+            search = line_search if Y.shape[1] == 1 else pattern_search
+            best_x, best_v, step, converged = search(
                 lambda rows, X: self._objective(Y[rows], X), x, val,
                 cell, sup.project, sup.search_radius())
             slack = step * (np.sum(np.abs(Y), axis=1) + 1.0)
@@ -393,6 +423,137 @@ def pattern_search(f, x, v, cell, project, cap):
         if rows.size == 0:
             break
     return x, v, step, step < xtol
+
+
+def line_search(f, x, v, cell, project, cap):
+    """Bracketed Brent search, one maximization per row of the (m, 1) ``x``.
+
+    The arguments and the return value are those of ``pattern_search``. The
+    first call of ``f`` holds each row's points x + cell and x - cell,
+    stacked as in ``pattern_search``. A row whose + point gains, or else
+    whose - point gains, walks on that way while it gains, each step 1.618x
+    the last (at most ``cap``, then projected); a step that ``project`` does
+    not move cannot gain, so it ends the walk at the support edge. Brent's
+    parabolic and golden-section steps (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 5) then shrink the row's
+    bracket [a, b] until |x - (a + b) / 2| <= 2 tol - (b - a) / 2, with
+    tol = 1e-7 (cell[i] + 1e-12), or 4 spacings of x where that is larger,
+    and the returned step is (b - a) / 2. Each later call holds one point
+    per running row. A row that takes ``_WALK_STEPS`` walk steps or
+    ``_BRENT_STEPS`` Brent steps stops unconverged. The returned point is
+    the best one evaluated, so its objective is never below ``v[i]``.
+    """
+    m = x.shape[0]
+    tol = 1e-7 * (cell + 1e-12)
+    rows = np.arange(m)
+    ends = project(np.concatenate([x + cell[:, None], x - cell[:, None]]))
+    ends = ends[:, 0]
+    fends = f(np.concatenate([rows, rows]), ends[:, None])
+    plus, fplus, minus, fminus = ends[:m], fends[:m], ends[m:], fends[m:]
+    up = fplus > v
+    down = ~up & (fminus > v)
+    # the best point x, Brent's w (second best) and z (the previous w), the
+    # bracket [a, b] and Brent's last two steps d and e
+    bx = np.where(up, plus, np.where(down, minus, x[:, 0]))
+    fx = np.where(up, fplus, np.where(down, fminus, v))
+    a, b, w, fw, z, fz, d, e = (np.empty(m) for _ in range(8))
+    # a walking row's point behind the best, its direction and next step
+    prev, fprev = x[:, 0].copy(), v.copy()
+    sgn = np.where(up, 1.0, -1.0)
+    step = cell * _GOLD
+    walk = up | down
+    brent = ~walk
+    n_steps = np.zeros(m, dtype=np.int64)
+    half = np.zeros(m)
+    converged = np.zeros(m, dtype=bool)
+
+    def bracket(i, u, fu, t, ft):
+        # rows i start Brent's loop on the bracket [u, t] around x, with
+        # the better end as w, and a first step that may be parabolic
+        a[i], b[i] = np.minimum(u, t), np.maximum(u, t)
+        hi = ft > fu
+        w[i], fw[i] = np.where(hi, t, u), np.where(hi, ft, fu)
+        z[i], fz[i] = np.where(hi, u, t), np.where(hi, fu, ft)
+        d[i] = e[i] = b[i] - a[i]
+        n_steps[i] = 0
+
+    i = np.flatnonzero(brent)
+    bracket(i, minus[i], fminus[i], plus[i], fplus[i])
+    while True:
+        wk = np.flatnonzero(walk)
+        c = project((bx[wk] + sgn[wk] * np.minimum(step[wk], cap))[:, None])
+        c = c[:, 0]
+        br = np.flatnonzero(brent)
+        A, B, xb = a[br], b[br], bx[br]
+        # at most 4 spacings of x, so that steps of t1 move x, far out too
+        t1 = np.maximum(tol[br], 4.0 * np.spacing(np.abs(xb)))
+        mid = 0.5 * (A + B)
+        stop = np.abs(xb - mid) <= 2.0 * t1 - 0.5 * (B - A)
+        capped = ~stop & (n_steps[br] >= _BRENT_STEPS)
+        i = br[stop | capped]
+        half[i] = 0.5 * (b[i] - a[i])
+        converged[br[stop]] = True
+        brent[i] = False
+        go = ~(stop | capped)
+        br, A, B, xb, t1, mid = (s[go] for s in (br, A, B, xb, t1, mid))
+        if wk.size + br.size == 0:
+            break
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # the parabola through x, w and z; -inf, NaN and 0/0 fail every
+            # test below, which falls back to a golden-section step
+            r = (xb - w[br]) * (fx[br] - fz[br])
+            q = (xb - z[br]) * (fx[br] - fw[br])
+            p = (xb - z[br]) * q - (xb - w[br]) * r
+            q = 2.0 * (q - r)
+            p = np.where(q > 0.0, -p, p)
+            q = np.abs(q)
+            para = ((np.abs(e[br]) > t1)
+                    & (np.abs(p) < np.abs(0.5 * q * e[br]))
+                    & (p > q * (A - xb)) & (p < q * (B - xb)))
+            dp = p / q
+        gold = np.where(xb >= mid, A - xb, B - xb)
+        e[br] = np.where(para, d[br], gold)
+        dd = np.where(para, dp, _CGOLD * gold)
+        u = xb + dd
+        near = para & ((u - A < 2.0 * t1) | (B - u < 2.0 * t1))
+        dd = np.where(near, np.copysign(t1, mid - xb), dd)
+        dd = np.where(np.abs(dd) >= t1, dd, np.copysign(t1, dd))
+        d[br] = dd
+        u = xb + dd
+        vals = f(np.concatenate([wk, br]), np.concatenate([c, u])[:, None])
+        fc, fu = vals[:wk.size], vals[wk.size:]
+        # a walk step that gains moves on; one that does not (such as a
+        # step that project returns to the support edge) closes the
+        # bracket on the point behind the best
+        gain = fc > fx[wk]
+        i = wk[gain]
+        prev[i], fprev[i] = bx[i], fx[i]
+        bx[i], fx[i] = c[gain], fc[gain]
+        step[i] *= _GOLD
+        n_steps[i] += 1
+        i = wk[~gain]
+        walk[i], brent[i] = False, True
+        bracket(i, prev[i], fprev[i], c[~gain], fc[~gain])
+        i = wk[gain][n_steps[wk[gain]] >= _WALK_STEPS]
+        walk[i] = False
+        half[i] = step[i]
+        # Brent's update of the bracket and of x, w and z
+        gain = fu >= fx[br]
+        right = u >= xb
+        a[br] = np.where(gain == right, np.where(gain, xb, u), A)
+        b[br] = np.where(gain != right, np.where(gain, xb, u), B)
+        second = ~gain & ((fu >= fw[br]) | (w[br] == xb))
+        third = ~gain & ~second & ((fu >= fz[br]) | (z[br] == xb)
+                                   | (z[br] == w[br]))
+        shift = gain | second
+        z[br] = np.where(shift, w[br], np.where(third, u, z[br]))
+        fz[br] = np.where(shift, fw[br], np.where(third, fu, fz[br]))
+        w[br] = np.where(gain, xb, np.where(second, u, w[br]))
+        fw[br] = np.where(gain, fx[br], np.where(second, fu, fw[br]))
+        bx[br] = np.where(gain, u, xb)
+        fx[br] = np.where(gain, fu, fx[br])
+        n_steps[br] += 1
+    return bx[:, None], fx, half, converged
 
 
 def conjugate(phi: YoungFunction, y) -> ConjugateValue:

@@ -1,5 +1,6 @@
 import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 
 from exptail.bounds import phi_bar_function
 from exptail.conjugate import (ConjugateEvaluator, _chunked_scores,
-                               biconjugate_residual, conjugate, log_reparam,
-                               log_reparam_conjugate, pattern_search,
-                               ray_inverse)
+                               biconjugate_residual, conjugate, line_search,
+                               log_reparam, log_reparam_conjugate,
+                               pattern_search, ray_inverse)
 from exptail.empirical import (Gaussian, SymmetricWeibull, natural_function,
                                sample)
 from exptail.errors import ParameterError
@@ -205,8 +206,9 @@ class TestBatchIndependence:
     @pytest.mark.parametrize("source", ["tabulated_natural", "custom_d1",
                                         "custom_d2"])
     def test_gradient_less_row_equals_lone_query(self, source):
-        # pattern search stops each row on its own, so a far row in the
-        # batch leaves the other rows' bits alone
+        # line search (d = 1) and pattern search (d = 2) stop each row on
+        # its own, so a far row in the batch leaves the other rows' bits
+        # alone
         if source == "tabulated_natural":
             nat = natural_function(sample(Gaussian([[1.0]]), 20_000, 3))
             phi = nat.tabulated_young()
@@ -320,7 +322,8 @@ class TestWarmStart:
         assert list(batch.converged) == [True, True, False, False]
 
     def test_gradient_less_converged_flags(self):
-        # a source without a gradient is polished by pattern search
+        # a one-dimensional source without a gradient is polished by
+        # line search
         phi = make_custom(1, lambda x: np.asarray(x)[..., 0] ** 2)
         Y = np.array([[0.5], [-2.0]])
         batch = ConjugateEvaluator(phi).values(Y)
@@ -335,9 +338,9 @@ class TestDivergedRowsSkipPolish:
     @pytest.mark.parametrize("phi", [
         make_logcosh(1),
         make_custom(1, lambda x: np.abs(np.asarray(x)[..., 0]))],
-        ids=["bb_ascent", "pattern_search"])
+        ids=["bb_ascent", "line_search"])
     def test_only_live_rows_are_polished(self, phi, monkeypatch):
-        search = "bb_ascent" if phi.has_gradient else "pattern_search"
+        search = "bb_ascent" if phi.has_gradient else "line_search"
         polished = []
         inner = getattr(conjugate_module, search)
 
@@ -550,14 +553,11 @@ def _sequential_pattern_search(f, x, v, cell, project, cap):
     return x, v, step, step < xtol
 
 
-def _envelope_conjugates(p, scale):
-    # phi-bar of a Weibull law as the envelope workload builds it
-    dist = SymmetricWeibull(p, scale, 1)
-    mgf = dist.mgf_log(lam_max=64.0)
-    phi = make_custom(1, lambda x: mgf(np.atleast_2d(x)),
-                      hessian_at_origin=[[dist.coordinate_variance()]])
-    ev = ConjugateEvaluator(phi_bar_function(phi, n_max=64))
-    ev.values(np.array([[2.0], [4.0], [6.0]]))
+def _phi_bar_conjugates():
+    # phi-bar of a correlated 2-D quadratic: a gradient-less source the
+    # evaluator polishes by pattern search
+    phi = phi_bar_function(make_quadratic(_B2), n_max=16)
+    ConjugateEvaluator(phi).values(np.array([[2.0, 1.0], [-0.5, 3.0]]))
 
 
 def _ball_conjugates():
@@ -570,8 +570,7 @@ def _ball_conjugates():
 
 # name: a run that calls pattern_search
 _ORACLE_CASES = {
-    "phi_bar_weibull_p1.5": lambda: _envelope_conjugates(1.5, 0.2),
-    "phi_bar_weibull_p4": lambda: _envelope_conjugates(4.0, 1.0),
+    "phi_bar_quadratic_d2": _phi_bar_conjugates,
     "log_reparam_ridge": lambda: log_reparam_conjugate(
         make_quadratic([[1.0, 0.5], [0.5, 1.0]]), [1.0, 8.0]),
     "bounded_projected": _ball_conjugates,
@@ -680,6 +679,343 @@ class TestPatternSearch:
                                    lambda X: X, math.inf)
             for a, b in zip(batch, alone):
                 assert np.array_equal(a[i], b[0])
+
+
+_GOLD = 0.5 * (1.0 + math.sqrt(5.0))
+
+
+def _scalar_brent(f, x, v, cell, project, cap):
+    """Reference: the bracketed Brent search, one row at a time in Python
+    floats with one point per call of ``f``; Brent's loop as in the
+    textbook, maximizing."""
+    m = x.shape[0]
+    out = (x.copy(), v.copy(), np.zeros(m), np.zeros(m, dtype=bool))
+    for i in range(m):
+        def g(t, i=i):
+            return float(f(np.array([i]), np.array([[t]]))[0])
+
+        def proj(t):
+            return float(project(np.array([[t]]))[0, 0])
+
+        tol0 = 1e-7 * (float(cell[i]) + 1e-12)
+        bx, fx = float(x[i, 0]), float(v[i])
+        plus, minus = proj(bx + cell[i]), proj(bx - cell[i])
+        fplus, fminus = g(plus), g(minus)
+        ends = ((minus, fminus), (plus, fplus))
+        half, converged = None, False
+        if fplus > fx or fminus > fx:
+            sgn = 1.0 if fplus > fx else -1.0
+            prev, fprev = bx, fx
+            bx, fx = (plus, fplus) if sgn > 0.0 else (minus, fminus)
+            step, n = float(cell[i]) * _GOLD, 0
+            while True:
+                c = proj(bx + sgn * min(step, cap))
+                fc = g(c)
+                if not fc > fx:
+                    ends = ((prev, fprev), (c, fc))
+                    break
+                prev, fprev, bx, fx = bx, fx, c, fc
+                step *= _GOLD
+                n += 1
+                if n >= 60:
+                    half = step
+                    break
+        if half is None:
+            (u, fu), (t, ft) = ends
+            a, b = min(u, t), max(u, t)
+            w, fw, z, fz = (t, ft, u, fu) if ft > fu else (u, fu, t, ft)
+            d = e = b - a
+            for n in range(201):
+                tol = max(tol0, 4.0 * float(np.spacing(abs(bx))))
+                mid = 0.5 * (a + b)
+                if abs(bx - mid) <= 2.0 * tol - 0.5 * (b - a):
+                    converged = True
+                    break
+                if n == 200:
+                    break
+                r = (bx - w) * (fx - fz)
+                q = (bx - z) * (fx - fw)
+                p = (bx - z) * q - (bx - w) * r
+                q = 2.0 * (q - r)
+                if q > 0.0:
+                    p = -p
+                q = abs(q)
+                if (abs(e) > tol and abs(p) < abs(0.5 * q * e)
+                        and p > q * (a - bx) and p < q * (b - bx)):
+                    e, d = d, p / q
+                    u = bx + d
+                    if u - a < 2.0 * tol or b - u < 2.0 * tol:
+                        d = math.copysign(tol, mid - bx)
+                else:
+                    e = a - bx if bx >= mid else b - bx
+                    d = (2.0 - _GOLD) * e
+                if abs(d) < tol:
+                    d = math.copysign(tol, d)
+                u = bx + d
+                fu = g(u)
+                if fu >= fx:
+                    if u >= bx:
+                        a = bx
+                    else:
+                        b = bx
+                    z, fz, w, fw, bx, fx = w, fw, bx, fx, u, fu
+                else:
+                    if u < bx:
+                        a = u
+                    else:
+                        b = u
+                    if fu >= fw or w == bx:
+                        z, fz, w, fw = w, fw, u, fu
+                    elif fu >= fz or z == bx or z == w:
+                        z, fz = u, fu
+            half = 0.5 * (b - a)
+        out[0][i, 0], out[1][i], out[2][i], out[3][i] = bx, fx, half, converged
+    return out
+
+
+def _envelope_conjugates(p, scale):
+    # phi-bar of a Weibull law as the envelope workload builds it
+    dist = SymmetricWeibull(p, scale, 1)
+    mgf = dist.mgf_log(lam_max=64.0)
+    phi = make_custom(1, lambda x: mgf(np.atleast_2d(x)),
+                      hessian_at_origin=[[dist.coordinate_variance()]])
+    ev = ConjugateEvaluator(phi_bar_function(phi, n_max=64))
+    ev.values(np.array([[2.0], [4.0], [6.0]]))
+
+
+def _tabulated_conjugates():
+    # a kinked source on a bounded support; y = 40 has its maximum on the
+    # support's edge
+    nat = natural_function(sample(Gaussian([[1.0]]), 20_000, 3))
+    ConjugateEvaluator(nat.tabulated_young()).values(
+        np.array([[0.3], [40.0], [2.5], [-0.7]]))
+
+
+# name: a run that calls line_search
+_BRENT_CASES = {
+    "phi_bar_weibull_p1.5": lambda: _envelope_conjugates(1.5, 0.2),
+    "phi_bar_weibull_p4": lambda: _envelope_conjugates(4.0, 1.0),
+    "tabulated_natural": _tabulated_conjugates,
+}
+
+
+def _line_rows():
+    """A batch of 1-D maximizations that end in different ways: a smooth
+    row near its start, a quartic row 30 away from a start with cell 1e-3,
+    a linear row that walks until the walk's step cap, a row that is -inf
+    past x = 1 with its maximum there, and a kinked row."""
+    kind = np.array([0, 1, 2, 3, 4])
+
+    def objective(sel):
+        def f(rows, X):
+            k, t = kind[sel][rows], X[:, 0]
+            with np.errstate(invalid="ignore"):
+                edge = np.where(t <= 1.0, 2.0 * t - t * t, -np.inf)
+            return np.select(
+                [k == 0, k == 1, k == 2, k == 3],
+                [-(t - 0.3) ** 2 * (1.0 + t * t), 27000.0 * t - t ** 4 / 4.0,
+                 t, edge], -np.abs(t - 0.2))
+        return f
+
+    cell = np.array([0.5, 1e-3, 0.5, 0.25, 0.1])
+    x = np.zeros((5, 1))
+    return objective, x, objective(np.arange(5))(np.arange(5), x), cell
+
+
+class TestLineSearch:
+    @pytest.mark.parametrize("case", sorted(_BRENT_CASES))
+    def test_matches_scalar_brent(self, case, monkeypatch):
+        searches = []
+        inner = conjugate_module.line_search
+
+        def recorded(f, x, v, cell, project, cap):
+            searches.append((f, x.copy(), v.copy(), cell.copy(), project,
+                             cap))
+            return inner(f, x, v, cell, project, cap)
+
+        monkeypatch.setattr(conjugate_module, "line_search", recorded)
+        _BRENT_CASES[case]()
+        monkeypatch.undo()
+        assert searches
+        for f, x, v, cell, project, cap in searches:
+            got = line_search(f, x, v, cell, project, cap)
+            want = _scalar_brent(f, x, v, cell, project, cap)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+            assert np.all(got[3])
+
+    def test_mixed_rows_match_scalar_brent(self):
+        objective, x, v, cell = _line_rows()
+        got = line_search(objective(np.arange(5)), x, v, cell, lambda X: X,
+                          math.inf)
+        want = _scalar_brent(objective(np.arange(5)), x, v, cell,
+                             lambda X: X, math.inf)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        # the linear row stops on the walk's cap, the others converge
+        assert list(got[3]) == [True, True, False, True, True]
+        assert got[0][1, 0] == pytest.approx(30.0, abs=1e-6)
+        assert got[0][3, 0] == pytest.approx(1.0, abs=1e-6)
+        assert got[0][4, 0] == pytest.approx(0.2, abs=1e-6)
+
+    def test_row_equals_lone_run(self):
+        objective, x, v, cell = _line_rows()
+        batch = line_search(objective(np.arange(5)), x, v, cell,
+                            lambda X: X, math.inf)
+        for i in range(5):
+            sel = np.array([i])
+            alone = line_search(objective(sel), x[sel], v[sel], cell[sel],
+                                lambda X: X, math.inf)
+            for a, b in zip(batch, alone):
+                assert np.array_equal(a[i], b[0])
+
+    def test_one_call_per_step_on_live_rows(self):
+        objective, x, v, cell = _line_rows()
+        calls = []
+        line_search(_counted(objective(np.arange(5)), calls), x, v, cell,
+                    lambda X: X, math.inf)
+        # the first call holds every row's + and - points
+        rows, points = calls[0]
+        assert np.array_equal(rows, np.tile(np.arange(5), 2))
+        assert points == 10
+        live = set(range(5))
+        for rows, points in calls[1:]:
+            assert points == rows.size == len(set(rows))
+            assert set(rows) <= live
+            live = set(rows)
+        # the linear row walks 60 steps after its first call
+        assert len(calls) == 61 and live == {2}
+
+    def test_returns_an_evaluated_point_not_below_the_start(self):
+        objective, x, v, cell = _line_rows()
+        seen = {}
+        f = objective(np.arange(5))
+
+        def g(rows, X):
+            vals = f(rows, X)
+            for r, t, fv in zip(rows, X[:, 0], vals):
+                seen[(r, t)] = fv
+            return vals
+
+        bx, fx, _, _ = line_search(g, x, v - 1.0, cell, lambda X: X,
+                                   math.inf)
+        for i in range(5):
+            assert seen[(i, bx[i, 0])] == fx[i]
+            assert fx[i] >= v[i] - 1.0
+
+    def test_warm_start_widens_its_bracket(self):
+        # 27000 x - x^4 / 4 peaks at x = 30, 30,000 first steps away
+        def f(rows, X):
+            return 27000.0 * X[:, 0] - X[:, 0] ** 4 / 4.0
+
+        calls = []
+        bx, fx, half, converged = line_search(
+            _counted(f, calls), np.zeros((1, 1)), np.zeros(1),
+            np.array([1e-3]), lambda X: X, math.inf)
+        assert converged[0]
+        assert bx[0, 0] == pytest.approx(30.0, abs=1e-6)
+        assert fx[0] == pytest.approx(607500.0, rel=1e-14)
+        assert half[0] <= 2e-10
+        assert len(calls) > 20      # the walk alone takes about 20 steps
+
+    def test_converges_where_tol_is_below_the_float_spacing(self):
+        # at x = 1e8 the spacing 1.5e-8 exceeds 1e-7 of the cell 1e-3
+        def f(rows, X):
+            return -(X[:, 0] - 1e8) ** 2 / 1e8
+
+        calls = []
+        x = np.array([[0.999e8]])
+        bx, fx, half, converged = line_search(
+            _counted(f, calls), x, f(None, x), np.array([1e-3]), lambda X: X,
+            math.inf)
+        assert converged[0] and len(calls) < 100
+        assert bx[0, 0] == pytest.approx(1e8, rel=1e-15)
+
+    def test_stops_at_the_support_edge(self):
+        # 3 x - x^2 / 2 rises to the edge of the ball of radius 1: the walk
+        # from 0.5 is clipped there, and the next step does not move
+        support = SupportRegion(1.0)
+
+        def f(rows, X):
+            return 3.0 * X[:, 0] - 0.5 * X[:, 0] ** 2
+
+        bx, fx, half, converged = line_search(
+            f, np.array([[0.5]]), f(None, np.array([[0.5]])),
+            np.array([0.1]), support.project, support.search_radius())
+        assert converged[0]
+        assert bx[0, 0] == support.search_radius()
+        assert half[0] <= 2e-8
+
+    @pytest.mark.parametrize("source", ["abs", "tabulated_natural"])
+    def test_agrees_with_pattern_search(self, source, monkeypatch):
+        if source == "abs":
+            phi = make_custom(1, lambda x: np.abs(np.asarray(x)[..., 0]))
+            Y = np.array([[0.5], [-0.9], [0.0], [0.999]])
+        else:
+            nat = natural_function(sample(Gaussian([[1.0]]), 20_000, 3))
+            phi = nat.tabulated_young()
+            Y = np.array([[0.3], [1.1], [40.0], [2.5], [-0.7]])
+        ev = ConjugateEvaluator(phi)
+        got = ev.values(Y)
+        monkeypatch.setattr(conjugate_module, "line_search", pattern_search)
+        want = ev.values(Y)
+        assert np.all(got.converged) and np.all(want.converged)
+        tol = got.slack + want.slack + 1e-15 * (1.0 + np.abs(want.values))
+        assert np.all(np.abs(got.values - want.values) <= tol)
+
+    def test_non_finite_objective_raises_no_warning(self):
+        # -inf past x = 1, NaN below -1 and a flat row, whose parabola is
+        # 0 / 0: each falls back to a golden-section step
+        def f(rows, X):
+            t = X[:, 0]
+            with np.errstate(invalid="ignore"):
+                bent = np.where(t > 1.0, -np.inf,
+                                np.where(t < -1.0, np.nan, -(t - 0.9) ** 2))
+            return np.where(rows == 0, bent, 0.0)
+
+        x = np.zeros((2, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bx, fx, _, converged = line_search(
+                f, x, f(np.arange(2), x), np.array([2.0, 0.5]), lambda X: X,
+                math.inf)
+        assert np.all(converged)
+        assert bx[0, 0] == pytest.approx(0.9, abs=1e-6)
+        assert fx[1] == 0.0
+
+
+class TestLargeRows:
+    @pytest.mark.parametrize("B, y", [([[1.0]], [1e200]),
+                                      (np.eye(2), [1e200, 1e200])],
+                             ids=["d1", "d2"])
+    def test_huge_row_raises_no_warning(self, B, y):
+        # phi* is about 5e399, past the float range: the row reports the
+        # lower bound 0 with no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = ConjugateEvaluator(make_quadratic(B)).values([y])
+        assert not np.isnan(got.values[0]) and got.values[0] >= 0.0
+        assert not got.converged[0]
+
+    def test_scores_skip_points_where_phi_is_inf(self):
+        # y . x overflows to inf where phi is +inf too; such a point is no
+        # candidate, whatever the product
+        X = np.array([[1.0, 1.0], [0.7, 0.7], [0.0, 0.0]])
+        phiX = np.array([np.inf, 0.49, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            val, idx = _chunked_scores(np.array([[1e308, 1e308]]), X, phiX)
+        assert idx[0] == 1 and val[0] == pytest.approx(1.4e308)
+
+    def test_ray_norm_keeps_its_bits(self):
+        # scaling by a power of two is exact, so |y| is the plain norm
+        rng = np.random.default_rng(5)
+        Y = rng.standard_normal((300, 3)) * 10.0 ** rng.uniform(
+            -150.0, 150.0, (300, 1))
+        Y[:5] = 0.0
+        _, n, u = ConjugateEvaluator._rays(Y)
+        assert np.array_equal(n, np.linalg.norm(Y, axis=1))
+        assert np.array_equal(u[:5], np.zeros((5, 3)))
 
 
 class TestBiconjugate:
