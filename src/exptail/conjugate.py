@@ -19,9 +19,10 @@ search then takes one point per running row and call, about a quarter of
 the pattern search's calls. Every search stops each row on its own, so a
 row's value does not depend on the other rows of its batch as long as the
 source evaluates each row alone. The same searches serve the biconjugate
-check; the log-reparameterized conjugate behind the moment norm keeps
-``pattern_search`` at every d. Reported values are always lower bounds of
-the true supremum (x = 0 is always a candidate, so phi* >= 0).
+check; the log-reparameterized conjugate behind the moment norm polishes a
+batch of order rows with ``pattern_search``, one call per final box.
+Reported values are always lower bounds of the true supremum (x = 0 is
+always a candidate, so phi* >= 0).
 
 On the whole space, a source with a gradient skips the grid for each row
 whose crossing r is at most h / 2, h = 2^ceil(log2 2(1 + max|y_i|)): the
@@ -47,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, UnreachableLevelError
-from .vectors import bisect_rows, box_grid
+from .vectors import bisect_rows, box_grid, row_max_abs, row_norm, row_sum
 from .young import YoungFunction
 
 _GRID_RES = {1: 129, 2: 65, 3: 33}
@@ -231,7 +232,8 @@ class ConjugateEvaluator:
         prev_val = np.full(m, -np.inf)
         n_exp = np.zeros(m, dtype=np.int64)
         while np.any(active):
-            for hv in np.unique(h[active]):
+            hs = np.sort(h[active])     # np.unique would import numpy.ma
+            for hv in hs[np.append(True, hs[1:] > hs[:-1])]:
                 rows = np.flatnonzero(active & (h == hv))
                 X = box_grid(-hv, np.full(d, hv), res)
                 with np.errstate(over="ignore"):
@@ -242,7 +244,7 @@ class ConjugateEvaluator:
                 best_x[rows[take]] = X[idx[take]]
             n_exp[active] += 1
             edge = h * (1.0 - 1.5 / (res - 1))
-            on_edge = np.max(np.abs(best_x), axis=1) >= edge
+            on_edge = row_max_abs(best_x) >= edge
             grew = best_val > prev_val + 1e-10 * (1.0 + np.abs(best_val))
             prev_val = best_val.copy()
             active &= on_edge & grew & (h < cap)
@@ -257,10 +259,10 @@ class ConjugateEvaluator:
         # (0 at y = 0); |y| = s |y / s| with s the power of two at max|y_i|:
         # scaling by s is exact, so |y| keeps the plain norm's bits wherever
         # that norm is finite, and it does not overflow above 1.3e154
-        top = np.max(np.abs(Y), axis=1)
+        top = row_max_abs(Y)
         h = 2.0 ** np.ceil(np.log2(2.0 * (1.0 + top)))
-        e = np.frexp(top)[1][:, None]
-        n = np.ldexp(np.linalg.norm(np.ldexp(Y, -e), axis=1), e[:, 0])
+        e = np.frexp(top)[1]
+        n = np.ldexp(row_norm(np.ldexp(Y, -e[:, None])), e)
         return h, n, Y / np.where(n > 0.0, n, 1.0)[:, None]
 
     def _first_box(self, Y):
@@ -316,8 +318,8 @@ class ConjugateEvaluator:
             # and up) gets inf or NaN there, which never counts as a gain
             with np.errstate(over="ignore"):
                 best_x, best_v, best_g, converged = bb_ascent(
-                    f, x, cell, 1.0 + np.max(np.abs(Y), axis=1), sup.project)
-                slack = (np.linalg.norm(best_g, axis=1) * cell
+                    f, x, cell, 1.0 + row_max_abs(Y), sup.project)
+                slack = (row_norm(best_g) * cell
                          + 1e-14 * (1.0 + np.abs(best_v)))
             low = val > best_v
             best_v[low] = val[low]
@@ -327,7 +329,7 @@ class ConjugateEvaluator:
             best_x, best_v, step, converged = search(
                 lambda rows, X: self._objective(Y[rows], X), x, val,
                 cell, sup.project, sup.search_radius())
-            slack = step * (np.sum(np.abs(Y), axis=1) + 1.0)
+            slack = step * (row_sum(np.abs(Y)) + 1.0)
         return best_v, best_x, slack, converged
 
 
@@ -347,7 +349,7 @@ def bb_ascent(f, x, cell, scale, project):
     x = project(x.copy())
     best_v, g = f(rows, x)
     best_x, best_g = x.copy(), g.copy()
-    alpha = cell / np.maximum(np.linalg.norm(g, axis=1), 1e-30)
+    alpha = cell / np.maximum(row_norm(g), 1e-30)
     x_prev, g_prev = x, g
     x = project(x + alpha[:, None] * g)
     stop = np.zeros(rows.size, dtype=bool)
@@ -361,14 +363,15 @@ def bb_ascent(f, x, cell, scale, project):
         converged[rows[stop]] = True
         if it == 240 or np.all(stop):
             break
-        go = ~stop
-        rows, x, g, x_prev, g_prev = (a[go] for a in (rows, x, g, x_prev,
-                                                      g_prev))
+        if np.any(stop):
+            go = ~stop
+            rows, x, g, x_prev, g_prev = (a[go] for a in (rows, x, g, x_prev,
+                                                          g_prev))
         s = x - x_prev
         yv = g_prev - g
         sy = np.einsum("ij,ij->i", s, yv)
         ss = np.einsum("ij,ij->i", s, s)
-        gn = np.linalg.norm(g, axis=1)
+        gn = row_norm(g)
         fallback = cell[rows] / np.maximum(gn, 1e-30)
         with np.errstate(divide="ignore", invalid="ignore"):
             alpha = np.where(sy > 1e-300, ss / sy, fallback)
@@ -376,8 +379,7 @@ def bb_ascent(f, x, cell, scale, project):
         x_prev, g_prev = x, g
         x = project(x + alpha[:, None] * g)
         stop = ((gn / scale[rows] < 1e-9)
-                & (np.max(np.abs(x - x_prev), axis=1)
-                   < 1e-13 * (1.0 + np.max(np.abs(x), axis=1))))
+                & (row_max_abs(x - x_prev) < 1e-13 * (1.0 + row_max_abs(x))))
     return best_x, best_v, best_g, converged
 
 
@@ -595,7 +597,7 @@ def biconjugate_residual(phi: YoungFunction, probes) -> float:
                 lam[rows] - inner.argmax)
 
     _, h, _, _ = bb_ascent(f, y, np.full(lam.shape[0], 1e-3),
-                           1.0 + np.max(np.abs(lam), axis=1), lambda Y: Y)
+                           1.0 + row_max_abs(lam), lambda Y: Y)
     # y = 0 gives h = 0
     return float(np.max(np.abs(np.maximum(h, 0.0) - target)))
 
@@ -642,49 +644,60 @@ def log_reparam(phi: YoungFunction):
     return f
 
 
-def log_reparam_conjugate(phi: YoungFunction, r) -> float:
+def log_reparam_conjugate(phi: YoungFunction, r):
     """Conjugate of the log-reparameterized source: sup_mu ((r, mu) - phi(e^mu)).
 
-    ``r`` is a positive scalar for one-dimensional sources or a length-d
-    vector. A grid search (concavity in mu is not assumed) is polished by
-    ``pattern_search``, clipped at the grid's upper edge.
-    Returns +inf when the objective keeps growing (diverged).
+    ``r`` is an (m, d) array of rows with positive entries, and the result
+    holds one value per row; a length-d vector, or a scalar for a
+    one-dimensional source, is a batch of one row and gives a float. Each
+    row grid-searches its own box [_MU_LO, t]^d (concavity in mu is not
+    assumed): t sits at the support's edge, or starts at 3 and grows by 3
+    while the row's best point lies on the box's upper edge. The rows still
+    growing share one grid and its phi values, scored row by row. The rows
+    that end on the same box share one ``pattern_search``, clipped at its
+    upper edge, so a row's value does not depend on its batch. A row whose
+    box passes t = 400 is diverged, +inf.
     """
     d = phi.dimension
-    r_vec = np.atleast_1d(np.asarray(r, dtype=float))
-    if r_vec.shape != (d,):
+    R = np.atleast_1d(np.asarray(r, dtype=float))
+    one = R.ndim == 1
+    R = np.atleast_2d(R)
+    if R.ndim != 2 or R.shape[1] != d:
         raise ParameterError(f"r must have length {d}")
-    if np.any(r_vec <= 0):
+    if not np.all(R > 0):               # NaN is no positive order either
         raise ParameterError("r must be positive")
 
     source = log_reparam(phi)
-
-    def obj(mu):
-        mu = np.atleast_2d(mu)
-        return mu @ r_vec - source(mu)
-
-    # upper edge of the mu box: support-limited or grown until the
-    # objective stops improving near the boundary
     grow = not phi.support.bounded
-    mu_hi = np.full(d, 3.0 if grow else np.log(phi.support.radius) - 1e-12)
+    top = 3.0 if grow else np.log(phi.support.radius) - 1e-12
     res = 2001 if d == 1 else (41 if d == 2 else 13)
-    best_v, best_mu = -np.inf, None
+    m = R.shape[0]
+    best_v, best_mu = np.full(m, -np.inf), np.zeros((m, d))
+    star, end = np.full(m, np.inf), np.full(m, np.inf)
+    live = np.arange(m)
     for _ in range(200):
-        pts = box_grid(_MU_LO, mu_hi, res)
-        vals = obj(pts)
-        i = int(np.argmax(vals))
-        if vals[i] > best_v:
-            best_v, best_mu = float(vals[i]), pts[i].copy()
+        pts = box_grid(_MU_LO, np.full(d, top), res)
+        src = source(pts)
+        for i in live:
+            vals = pts @ R[i] - src
+            k = int(np.argmax(vals))
+            if vals[k] > best_v[i]:
+                best_v[i], best_mu[i] = vals[k], pts[k]
+        end[live] = top
         if not grow:
             break
-        on_edge = np.any(best_mu >= mu_hi - 1.5 * (mu_hi - _MU_LO) / (res - 1))
-        if not on_edge:
+        edge = top - 1.5 * (top - _MU_LO) / (res - 1)
+        live = live[np.max(best_mu[live], axis=1) >= edge]
+        if live.size == 0 or top > 400.0:
             break
-        if np.any(mu_hi > 400.0):
-            return math.inf
-        mu_hi = mu_hi + 3.0
-    cell = float(np.max(mu_hi - _MU_LO)) / (res - 1)
-    _, best, _, _ = pattern_search(
-        lambda rows, M: obj(M), best_mu[None, :], np.array([best_v]),
-        np.array([cell]), lambda M: np.minimum(M, mu_hi), math.inf)
-    return float(best[0])
+        top += 3.0
+    if grow and top > 400.0:
+        end[live] = np.inf
+    for t in sorted(set(end[np.isfinite(end)].tolist())):
+        rows = np.flatnonzero(end == t)
+        Rt, mu_hi = R[rows], np.full(d, t)
+        star[rows] = pattern_search(
+            lambda k, M: row_sum(M * Rt[k]) - source(M), best_mu[rows],
+            best_v[rows], np.full(rows.size, (t - _MU_LO) / (res - 1)),
+            lambda M: np.minimum(M, mu_hi), math.inf)[1]
+    return float(star[0]) if one else star

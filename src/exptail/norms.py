@@ -195,18 +195,26 @@ def psi_phi_even_moments(phi: YoungFunction, m: int) -> float:
     return 2.0 * m * math.exp(-star / (2.0 * m))
 
 
-def psi_moment_vector(phi: YoungFunction, r) -> float:
-    """e^-1 2^(d/|r|) prod_j r_j^(r_j/|r|) exp(-Phi*(r)/|r|)."""
-    r = np.asarray(r, dtype=float).ravel()
-    if np.any(r < 1):
+def psi_moment_vector(phi: YoungFunction, r):
+    """e^-1 2^(d/|r|) prod_j r_j^(r_j/|r|) exp(-Phi*(r)/|r|), |r| = sum_j r_j.
+
+    One value per row of an (m, d) ``r``, from one batched Phi* solve; any
+    other shape is flattened to one order vector and gives a float."""
+    R = np.asarray(r, dtype=float)
+    one = R.ndim != 2
+    R = R.reshape(1, -1) if one else R
+    if np.any(R < 1):
         raise ParameterError("moment orders must be >= 1")
-    total = float(np.sum(r))
-    star = log_reparam_conjugate(phi, r)
-    if math.isinf(star):
-        raise ParameterError("diverged log-reparameterized conjugate")
-    log_psi = (-1.0 + (phi.dimension / total) * math.log(2.0)
-               + float(np.sum(r * np.log(r))) / total - star / total)
-    return math.exp(log_psi)
+    stars = log_reparam_conjugate(phi, R)
+    out = []
+    for row, star in zip(R, stars):
+        if math.isinf(star):
+            raise ParameterError("diverged log-reparameterized conjugate")
+        total = float(np.sum(row))
+        out.append(math.exp(-1.0 + (phi.dimension / total) * math.log(2.0)
+                            + float(np.sum(row * np.log(row))) / total
+                            - star / total))
+    return out[0] if one else np.array(out)
 
 
 def default_moment_grid(d: int) -> list:
@@ -227,10 +235,10 @@ def gls_norm_vector(moments: Callable[[np.ndarray], float],
                     phi: YoungFunction) -> NormEstimate:
     """sup over the vector-order grid of |xi|_r / psi_Phi(r)."""
     r_grid = default_moment_grid(phi.dimension)
+    psi = psi_moment_vector(phi, np.array(r_grid)).tolist()
     best, best_r = 0.0, None
-    for r in r_grid:
-        r = np.asarray(r, dtype=float).ravel()
-        ratio = moments(r) / psi_moment_vector(phi, r)
+    for r, p in zip(r_grid, psi):
+        ratio = moments(r) / p
         if ratio > best:
             best, best_r = ratio, r
     return NormEstimate(best, (best, best),

@@ -193,6 +193,42 @@ def bisect_rows(ok: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi,
         lo[rows[~good]] = mid[~good]
 
 
+def row_sum(a) -> np.ndarray:
+    """Sum over the last axis with one numpy call per column, where numpy's
+    own reduction of a short axis makes one call per row. It adds in
+    numpy's pairwise order (from +0.0, in turn below d = 8, else in eight
+    accumulators), so it has the bits of ``np.add.reduce(a, axis=-1)``,
+    NaN signs aside, at every d up to ``DIMENSION_CAP``."""
+    a = np.asarray(a, dtype=float)
+    d = a.shape[-1]
+    s = np.zeros(a.shape[:-1])
+    k = 0
+    if d >= 8:
+        k = d - d % 8
+        r = [a[..., j] for j in range(8)]
+        for i in range(8, k, 8):
+            r = [r[j] + a[..., i + j] for j in range(8)]
+        s += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for j in range(k, d):
+        s += a[..., j]
+    return s if s.ndim else s[()]    # a scalar for one point, as np.sum
+
+
+def row_max_abs(a) -> np.ndarray:
+    """``np.max(np.abs(a), axis=-1)``, column by column."""
+    b = np.abs(a)
+    m = b[..., 0]
+    for j in range(1, b.shape[-1]):
+        m = np.maximum(m, b[..., j])
+    return m
+
+
+def row_norm(a) -> np.ndarray:
+    """``np.linalg.norm(a, axis=-1)``, which is sqrt of the sum of squares."""
+    a = np.asarray(a, dtype=float)
+    return np.sqrt(row_sum(a * a))
+
+
 def box_grid(lo, hi, res: int) -> np.ndarray:
     """The res^d points of the axis-aligned grid on [lo, hi] as a (res^d, d)
     array, first axis slowest; ``lo`` and ``hi`` broadcast per axis."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import OutsideSupportError, ParameterError
 from .vectors import (bisect_rows, enumerate_sign_vectors, log_cosh,
-                      sphere_directions)
+                      row_norm, row_sum, sphere_directions)
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class SupportRegion:
         x = np.asarray(x, dtype=float)
         if not self.bounded:
             return np.ones(x.shape[:-1], dtype=bool)
-        return np.linalg.norm(x, axis=-1) < self.radius
+        return row_norm(x) < self.radius
 
     def ray_limit(self, direction) -> float:
         """sup{t >= 0 : t * direction inside the region} (inf when full)."""
@@ -57,7 +57,7 @@ class SupportRegion:
         if not self.bounded:
             return X
         rs = self.search_radius()
-        r = np.linalg.norm(X, axis=-1, keepdims=True)
+        r = row_norm(X)[..., None]
         return X * np.where(r > rs, rs / np.maximum(r, 1e-300), 1.0)
 
     def scaled(self, c: float) -> "SupportRegion":
@@ -178,7 +178,7 @@ def make_quadratic(B) -> YoungFunction:
 
     def ev(x):
         # einsum may round a row differently alone than in a batch
-        return 0.5 * np.sum(x * (x @ B), axis=-1)
+        return 0.5 * row_sum(x * (x @ B))
 
     return YoungFunction(d, ev, gradient=lambda x: x @ B,
                          hessian_at_origin=B, family="quadratic",
@@ -197,10 +197,10 @@ def make_power(p: float, c: float, d: int) -> YoungFunction:
         raise ParameterError("power scale must be positive")
 
     def ev(x):
-        return c * np.linalg.norm(x, axis=-1) ** p
+        return c * row_norm(x) ** p
 
     def gr(x):
-        n = np.linalg.norm(x, axis=-1, keepdims=True)
+        n = row_norm(x)[..., None]
         with np.errstate(divide="ignore", invalid="ignore"):
             g = c * p * n ** (p - 2.0) * x
         return np.where(n == 0.0, 0.0, g)
@@ -247,7 +247,7 @@ def make_radial(nu: Callable[[np.ndarray], np.ndarray], Q,
     d = Q.shape[0]
 
     def quad(x):
-        return np.sum(x * (x @ Q), axis=-1)    # batch-independent, as above
+        return row_sum(x * (x @ Q))    # batch-independent, as above
 
     def ev(x):
         return nu(quad(x))
@@ -272,7 +272,7 @@ def make_logcosh(d: int, scale: float = 1.0) -> YoungFunction:
         raise ParameterError("scale must be positive")
 
     def ev(x):
-        return np.sum(log_cosh(scale * x), axis=-1)
+        return row_sum(log_cosh(scale * x))
 
     def gr(x):
         return scale * np.tanh(scale * x)

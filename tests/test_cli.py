@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -532,3 +535,25 @@ class TestConjugateQuadraticD5:
         assert status == 0 and len(records) == 5
         assert np.allclose(got, want, rtol=1e-10, atol=0.0)
         assert not any(r.outputs["diverged"] for r in records)
+
+
+class TestNoNumpyMa:
+    @pytest.mark.parametrize("command, config", [
+        ("equivalence", "perfbench/equivalence.json"),
+        # its rows with some |y_j| > 1 have no ray crossing and are gridded
+        ("conjugate", "configs/conjugate_logcosh.json"),
+    ])
+    def test_run_leaves_numpy_ma_out(self, tmp_path, command, config):
+        # np.unique imports numpy.ma, 9-14 ms, in the middle of a run
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        code = ("import sys; from exptail.cli import main; "
+                "status = main(sys.argv[1:]); "
+                "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'; "
+                "sys.exit(status)")
+        res = subprocess.run(
+            [sys.executable, "-c", code, command, str(ROOT / config),
+             "--out", str(tmp_path / "out.csv")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr

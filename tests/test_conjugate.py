@@ -1123,6 +1123,61 @@ class TestLogReparamConjugate:
         phi = make_bounded_support(1.0, 1.0)
         assert math.isfinite(log_reparam_conjugate(phi, 2.0))
 
+    def test_nan_order_is_rejected(self):
+        # a NaN entry makes every grid value NaN
+        for phi, r in ((make_quadratic([[1.0]]), math.nan),
+                       (make_quadratic(np.eye(2)), [2.0, math.nan]),
+                       (make_quadratic(np.eye(2)), [[2.0, 2.0],
+                                                    [math.nan, 4.0]])):
+            with pytest.raises(ParameterError):
+                log_reparam_conjugate(phi, r)
+
+    @pytest.mark.parametrize("phi, R", [
+        (make_quadratic([[1.0]]), [[1.0], [2.0], [3.0], [0.3], [32.0]]),
+        (make_quadratic([[1.0, 0.5], [0.5, 1.0]]),
+         [[2.0, 2.0], [4.0, 2.0], [1.0, 8.0], [3.0, 5.0], [1.3, 7.7]]),
+        (make_quadratic(np.diag([1.0, 1.0, 2.0])),
+         [[2.0, 2.0, 2.0], [8.0, 8.0, 2.0], [3.0, 5.0, 7.0],
+          [1.1, 2.2, 3.3]]),
+        (make_bounded_support(1.0, 1.0), [[2.0], [1.0], [50.0], [3.3]]),
+    ], ids=["d1", "d2", "d3", "bounded"])
+    def test_batch_row_equals_lone_call(self, phi, R):
+        R = np.array(R)
+        lone = np.array([log_reparam_conjugate(phi, r) for r in R])
+        assert np.array_equal(log_reparam_conjugate(phi, R), lone)
+        assert np.array_equal(log_reparam_conjugate(phi, R[::-1]),
+                              lone[::-1])
+
+    def test_rows_on_boxes_grown_apart(self, monkeypatch):
+        # power p = 4: the maximizer ln(r/4)/4 sits in the first box [., 3]
+        # at r = 8, in the second at r = 4e6 and in the third at r = 4e12
+        phi = make_power(4.0, 1.0, 1)
+        R = np.array([[4e12], [8.0], [4e6]])
+        lone = np.array([log_reparam_conjugate(phi, r) for r in R])
+        tops = []
+
+        def grid(lo, hi, res):
+            tops.append(float(np.max(hi)))
+            return box_grid(lo, hi, res)
+
+        monkeypatch.setattr(conjugate_module, "box_grid", grid)
+        got = log_reparam_conjugate(phi, R)
+        assert tops == [3.0, 6.0, 9.0]      # one grid per box, shared
+        assert np.array_equal(got, lone)
+        r = R[:, 0]
+        assert np.allclose(got, 0.25 * r * np.log(r / 4.0) - 0.25 * r,
+                           rtol=1e-10, atol=0.0)
+
+    def test_diverged_row_among_finite_ones(self):
+        # Phi(mu) = 2 log(1 + e^mu) grows like 2 mu, so r mu - Phi is
+        # unbounded for r > 2 and bounded for r < 2
+        phi = make_custom(1, lambda x: 2.0 * np.log1p(np.abs(x[..., 0])))
+        R = np.array([[1.0], [4.0], [1.5]])
+        got = log_reparam_conjugate(phi, R)
+        assert got[1] == math.inf and np.all(np.isfinite(got[[0, 2]]))
+        lone = [log_reparam_conjugate(phi, r) for r in R]
+        assert np.array_equal(got, lone)
+
     def test_reparam_coordinatewise_monotone(self):
         f = log_reparam(make_quadratic(np.array([[1.0, 0.3], [0.3, 1.0]])))
         rng = np.random.default_rng(4)

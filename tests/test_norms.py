@@ -7,11 +7,11 @@ from scipy.special import gamma as gamma_fn
 from exptail.conjugate import log_reparam_conjugate
 from exptail.empirical import (Gaussian, RademacherScaled, SymmetricWeibull,
                                natural_function, sample, vector_moment)
-from exptail.errors import MissingCertificateError
-from exptail.norms import (OrliczFunction, bphi_norm, equivalence_report,
-                           gls_norm_1d, gls_norm_vector, luxemburg_norm, odot,
-                           psi_moment_vector, psi_phi_even_moments,
-                           ray_probe_plan)
+from exptail.errors import MissingCertificateError, ParameterError
+from exptail.norms import (OrliczFunction, bphi_norm, default_moment_grid,
+                           equivalence_report, gls_norm_1d, gls_norm_vector,
+                           luxemburg_norm, odot, psi_moment_vector,
+                           psi_phi_even_moments, ray_probe_plan)
 from exptail.specs import distribution_from_spec, young_from_spec
 from exptail.vectors import bisect_rows
 from exptail.young import make_logcosh, make_quadratic
@@ -191,6 +191,19 @@ class TestGlsVector:
         star = log_reparam_conjugate(phi, r)
         want = math.exp(-1.0) * 2 ** (1 / r) * r * math.exp(-star / r)
         assert psi_moment_vector(phi, [r]) == pytest.approx(want, rel=1e-8)
+
+    def test_nan_order_is_rejected(self):
+        with pytest.raises(ParameterError):
+            psi_moment_vector(make_quadratic(np.eye(2)), [2.0, math.nan])
+        with pytest.raises(ParameterError):
+            psi_phi_even_moments(make_quadratic([[1.0]]), math.nan)
+
+    def test_batch_row_equals_lone_call(self):
+        phi = make_quadratic([[1.0, 0.5], [0.5, 1.0]])
+        R = np.array(default_moment_grid(2))
+        lone = [psi_moment_vector(phi, r) for r in R]
+        assert isinstance(lone[0], float)
+        assert psi_moment_vector(phi, R).tolist() == lone
 
     def test_zero_variable(self):
         phi = make_quadratic(np.eye(2))

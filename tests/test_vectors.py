@@ -14,7 +14,8 @@ import exptail
 from exptail.vectors import (DIMENSION_CAP, LogValue, bisect_rows, box_grid,
                              coordinatewise_product, enumerate_sign_vectors,
                              log_cosh, log_mean_exp, octant_contains,
-                             octants_containing, sphere_directions)
+                             octants_containing, row_max_abs, row_norm,
+                             row_sum, sphere_directions)
 from exptail.errors import DimensionCapError, ShapeMismatchError
 
 
@@ -292,3 +293,47 @@ class TestLogCosh:
         with np.errstate(under="ignore"):
             unclamped = a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)
         assert np.array_equal(log_cosh(x), unclamped)
+
+
+def _same_bits(got, want):
+    """Equal shapes, NaN at the same places and every other entry with the
+    same bits (so -0.0 differs from 0.0); a NaN's sign is not a value."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.uint64),
+                               want[~nan].view(np.uint64)))
+
+
+_ROW_REFERENCES = [
+    (row_sum, lambda a: np.sum(a, axis=-1)),
+    (row_max_abs, lambda a: np.max(np.abs(a), axis=-1)),
+    (row_norm, lambda a: np.linalg.norm(a, axis=-1)),
+]
+
+
+class TestRowHelpers:
+    @pytest.mark.parametrize("d", range(1, DIMENSION_CAP + 1))
+    @pytest.mark.parametrize("helper, reference", _ROW_REFERENCES,
+                             ids=["sum", "max_abs", "norm"])
+    def test_bits_of_numpy_reduction(self, helper, reference, d):
+        rng = np.random.default_rng(d)
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1e300,
+                            -1e300, 1.7e308, 1e-300, 5e-324, 3e-310, 1.0])
+        mags = np.exp(rng.uniform(-690.0, 690.0, (5000, d)))
+        batches = [
+            rng.standard_normal((5000, d)),
+            rng.standard_normal((5000, d)) * mags,
+            rng.choice(special, size=(5000, d)),
+            np.full((3, d), -0.0),
+            np.zeros((0, d)),
+            rng.standard_normal((3, 7, d)),
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a in batches:
+                assert _same_bits(helper(a), reference(a)), a.shape
+
+    def test_one_point_gives_a_scalar(self):
+        x = np.array([3.0, -4.0])
+        assert row_sum(x) == -1.0 and np.ndim(row_sum(x)) == 0
+        assert row_norm(x) == 5.0 and row_max_abs(x) == 4.0
