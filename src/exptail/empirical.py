@@ -496,6 +496,12 @@ _RAY_LEVELS = 10
 #: Largest |r| the bins serve: past it even level 0 has |r| width / 2 > 1/4.
 _RAY_MAX_RADIUS = 64.0
 
+#: Level rows are binned at for radii served at this level or coarser
+#: (|r| <= 4, which holds every radius of the default probe plan); radii at
+#: finer levels bin their rows at level 0. The base is fixed, so a value
+#: does not depend on its batch.
+_RAY_BASE = 4
+
 #: Elements (256 KB) of the ray kernel's largest arrays: rows are binned in
 #: groups of about this many moments, and a group's radii run in blocks of
 #: at most this many (radius, bin) terms.
@@ -585,9 +591,9 @@ def _level_sums(Q, starts, lengths, level: int, radii, t_max, t_min):
     return top, S.T
 
 
-def _binned_sums(rows: list, radii, levels):
+def _binned_sums(rows: list, radii, levels, base: int):
     """r t_top and S (as in ``_level_sums``), shape (len(rows), len(radii)),
-    of rows given as (first bin, level-0 moments, max t, min t)."""
+    of rows given as (first bin, level-``base`` moments, max t, min t)."""
     starts, Qs, t_max, t_min = zip(*rows)
     Q = np.concatenate(Qs, axis=1)
     starts = np.array(starts)
@@ -595,8 +601,8 @@ def _binned_sums(rows: list, radii, levels):
     t_max, t_min = np.array(t_max), np.array(t_min)
     top = np.empty((len(rows), radii.size))
     S = np.empty_like(top)
-    for level in range(int(levels.max()) + 1):
-        if level:
+    for level in range(base, int(levels.max()) + 1):
+        if level > base:
             Q, starts, lengths = _merge_bins(Q, starts, lengths, level)
         at = np.flatnonzero(levels == level)
         if at.size:
@@ -634,10 +640,13 @@ class EmpiricalNaturalFunction:
       Q[k, b] = sum (t - c_b)^k / k!, k < 10; level j merges the pairs of
       level j - 1 by an exact Taylor shift. A radius uses the coarsest
       level with |r| width / 2 <= 1/4, so each bin's truncation is at most
-      0.25^10 / 10! e^0.25 = 3.4e-13 of its sum. Radii past 64, and
-      directions with a row that spans more level-0 bins than there are
-      samples (far outliers, which would also cost more than the direct
-      kernel), go through the direct kernel.
+      0.25^10 / 10! e^0.25 = 3.4e-13 of its sum. Rows are binned straight
+      from the samples at a fixed base level, in the same layout: level 4
+      (width 2^-3) for radii served at level 4 or coarser, |r| <= 4, and
+      level 0 for 4 < |r| <= 64. Radii past 64, and radii whose direction
+      has a row that spans more bins at their base than there are samples
+      (far outliers, which would also cost more than the direct kernel),
+      go through the direct kernel.
     """
 
     def __init__(self, source: SampleSet):
@@ -722,41 +731,46 @@ class EmpiricalNaturalFunction:
         if binned.size and rays.size:
             lme, S, wide = self._ray_sums(dirs[rays], radii[binned],
                                           level[binned])
-            flips = lme.shape[2]
-            best, ok = _best_flip(lme[~wide].reshape(-1, flips),
-                                  S[~wide].reshape(-1, flips))
-            sub = np.ix_(rays[~wide], binned)
-            vals[sub] = best.reshape(-1, binned.size)
-            trusted[sub] = ok.reshape(-1, binned.size)
-            direct[sub] = False
+            best, ok = _best_flip(lme[~wide], S[~wide])
+            j, k = np.nonzero(~wide)
+            j, k = rays[j], binned[k]
+            vals[j, k], trusted[j, k] = best, ok
+            direct[j, k] = False
         j, k = np.nonzero(direct)
         if j.size:
             vals[j, k], trusted[j, k] = self._evaluate_part(
                 radii[k, None] * dirs[j])
         return vals.ravel(), trusted.ravel()
 
-    def _ray_rows(self, u):
-        """Level-0 bins of each row of direction u, t = sum_q h_q u_q xi_q
-        for h in the first half of the sign vectors, as (first bin index,
-        moments Q (K, bins), max t, min t); None when a row spans more bins
-        than there are samples."""
+    def _ray_rows(self, u, base: int):
+        """Level-``base`` bins of each row of direction u,
+        t = sum_q h_q u_q xi_q for h in the first half of the sign vectors,
+        as (first bin index, moments Q (K, bins), max t, min t); None when a
+        row spans more bins than there are samples. Level-``base`` bin b is
+        the merge of level-0 bins 2^base b to 2^base b + 2^base - 1, as in
+        ``_merge_bins``, and centered where ``_level_sums`` puts it."""
         data = self._data
         n = data.shape[0]
+        scale = 2.0 ** base
         rows = []
         for h in self._signs[:len(self._signs) // 2]:
             w = h * u
             t = data[:, 0] * w[0]
             for q in range(1, data.shape[1]):
                 t += data[:, q] * w[q]
-            b = t * (1.0 / _RAY_BIN)
-            b += 0.5
-            np.floor(b, out=b)             # index of the nearest bin center
+            # bin floor(x / 2^base) holds level-0 bin x = floor(t / _RAY_BIN
+            # + 1/2); scaling by 2^-base before the floor is exact
+            b = t * (1.0 / (scale * _RAY_BIN))
+            b += 0.5 / scale
+            np.floor(b, out=b)
             lo, hi = b.min(), b.max()
             if not hi - lo < n:
                 return None
             size = int(hi - lo) + 1
             t_max, t_min = t.max(), t.min()
-            power = np.multiply(b, _RAY_BIN)
+            # the center (2^base b + (2^base - 1) / 2) _RAY_BIN, exactly
+            power = b + (1.0 - 1.0 / scale) / 2.0
+            power *= scale * _RAY_BIN
             t -= power                     # offset from the bin's center
             b -= lo
             idx = b.astype(np.intp)
@@ -774,7 +788,10 @@ class EmpiricalNaturalFunction:
     def _ray_sums(self, dirs, radii, level):
         """Log-mean-exps and sums S of every sign flip at the points
         radii x dirs, (len(dirs), len(radii), 2^d) each, and a mask of the
-        directions with a row too wide to bin (their entries are unset).
+        points, (len(dirs), len(radii)), whose direction has a row too wide
+        to bin at the radius's base level (their entries are unset). A
+        radius at ``level`` _RAY_BASE or coarser merges up from rows binned
+        at _RAY_BASE, any other from rows binned at level 0.
         Row i of the first half of the sign vectors gives flip i at r and
         its negation, flip 2^d - 1 - i, at -r. Rows are summed in groups of
         about _RAY_BLOCK moments."""
@@ -783,22 +800,28 @@ class EmpiricalNaturalFunction:
         levels = np.concatenate([level, level])
         top = np.zeros((len(dirs), flips // 2, signed.size))
         S = np.ones_like(top)
-        wide = np.zeros(len(dirs), dtype=bool)
-        group, members, bins = [], [], 0
-        for j, u in enumerate(dirs):
-            rows = self._ray_rows(u)
-            if rows is None:
-                wide[j] = True
-            else:
-                group += rows
-                members.append(j)
-                bins += sum(Q.shape[1] for _, Q, _, _ in rows)
-            if members and (bins * _RAY_TERMS >= _RAY_BLOCK
-                            or j == len(dirs) - 1):
-                sums = _binned_sums(group, signed, levels)
-                top[members], S[members] = (
-                    x.reshape(len(members), flips // 2, -1) for x in sums)
-                group, members, bins = [], [], 0
+        wide = np.zeros((len(dirs), radii.size), dtype=bool)
+        for base, served in ((0, level < _RAY_BASE),
+                             (_RAY_BASE, level >= _RAY_BASE)):
+            at = np.flatnonzero(np.concatenate([served, served]))
+            if not at.size:
+                continue
+            group, members, bins = [], [], 0
+            for j, u in enumerate(dirs):
+                rows = self._ray_rows(u, base)
+                if rows is None:
+                    wide[j, served] = True
+                else:
+                    group += rows
+                    members.append(j)
+                    bins += sum(Q.shape[1] for _, Q, _, _ in rows)
+                if members and (bins * _RAY_TERMS >= _RAY_BLOCK
+                                or j == len(dirs) - 1):
+                    sums = _binned_sums(group, signed[at], levels[at], base)
+                    sub = np.ix_(members, range(flips // 2), at)
+                    top[sub], S[sub] = (x.reshape(len(members), flips // 2,
+                                                  -1) for x in sums)
+                    group, members, bins = [], [], 0
         lme = top + np.log(S) - math.log(self._data.shape[0])
         # (dirs, rows, +-r) -> (dirs, r, flips): flips 2^d - 1 - i reversed
         lme, S = (np.concatenate([x[..., :radii.size].transpose(0, 2, 1),

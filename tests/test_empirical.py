@@ -390,24 +390,95 @@ class TestRayKernel:
         assert np.array_equal(some_trusted.reshape(-1, len(radii[::2])),
                               trusted[1::3, ::2])
 
-    @pytest.mark.parametrize("outlier", [None, [30.0, -4.0], [1e4, -1e4]],
-                             ids=["no_outlier", "near_outlier", "far_outlier"])
+    @pytest.mark.parametrize("law", sorted(KERNEL_LAWS) + ["near_outlier"])
+    def test_base_bins_are_merged_level0_bins(self, law):
+        # a row binned straight at the base level has the bins, bounds and,
+        # up to rounding, the moments of its level-0 bins merged up to it
+        if law == "near_outlier":
+            data = sample(Gaussian(np.eye(2)), 20_000, 14).data.copy()
+            data[123] = [30.0, -4.0]
+            nat = natural_function(SampleSet(data, 14, "outlier"))
+        else:
+            nat = natural_function(sample(KERNEL_LAWS[law], 20_000, 14))
+        base = empirical._RAY_BASE
+        # |t - c| <= half a bin width, so |Q[k, b]| <= Q[0, b] half^k / k!
+        half = empirical._RAY_BIN * 2.0 ** (base - 1)
+        bound = np.array([half ** k / math.factorial(k)
+                          for k in range(empirical._RAY_TERMS)])[:, None]
+        for u in ray_probe_plan(nat.dimension).directions[::5]:
+            for (start, Q, t_max, t_min), (first, want, top, bottom) in zip(
+                    nat._ray_rows(u, 0), nat._ray_rows(u, base), strict=True):
+                starts, lengths = np.array([start]), np.array([Q.shape[1]])
+                for level in range(1, base + 1):
+                    Q, starts, lengths = empirical._merge_bins(
+                        Q, starts, lengths, level)
+                assert (starts[0], lengths[0]) == (first, want.shape[1])
+                assert (t_max, t_min) == (top, bottom)
+                assert np.array_equal(Q[0], want[0])
+                assert np.all(np.abs(Q - want) <= 1e-12 * bound * want[0])
+
+    def test_each_direction_binned_once_per_base(self, monkeypatch):
+        # every radius of the default plan is served at level 4 or coarser,
+        # so each direction is binned once, at level 4; radii either side
+        # of 4 bin it once at each base
+        ray_rows, bases = EmpiricalNaturalFunction._ray_rows, []
+
+        def recorded(self, u, base):
+            bases.append((tuple(u), base))
+            return ray_rows(self, u, base)
+
+        monkeypatch.setattr(EmpiricalNaturalFunction, "_ray_rows", recorded)
+        nat = natural_function(sample(Gaussian(np.eye(2)), 20_000, 14))
+        plan = ray_probe_plan(2)
+        dirs = plan.directions
+        nat.evaluate_with_trust(dirs, radii=plan.radii)
+        assert bases == [(tuple(u), empirical._RAY_BASE) for u in dirs]
+        bases.clear()
+        nat.evaluate_with_trust(dirs[:3], radii=[4.0, np.nextafter(4.0, 5.0)])
+        assert sorted(bases) == sorted((tuple(u), base) for u in dirs[:3]
+                                       for base in (0, empirical._RAY_BASE))
+
+    @pytest.mark.parametrize("outlier", [None, [30.0, -4.0], [200.0, 0.0],
+                                         [1e4, -1e4]],
+                             ids=["no_outlier", "near_outlier",
+                                  "level0_wide_outlier", "far_outlier"])
     def test_matches_direct_kernel(self, outlier):
         # radii past 64 and a sample with one outlier, which widens every
-        # row's span of bins; the far one past the sample count
+        # row's span of bins: the one at 200 past the sample count at level
+        # 0 (25,600 bins along [1, 0]) but not at level 4 (1,600), the far
+        # one at both
         data = sample(Gaussian(np.eye(2)), 20_000, 14).data.copy()
         if outlier is not None:
             data[123] = outlier
         nat = natural_function(SampleSet(data, 14, "outlier"))
         dirs = ray_probe_plan(2).directions[::4]
-        radii = np.array([0.05, 1.0, 4.0, 50.0, 64.0, 64.5, 100.0, 300.0])
+        radii = np.array([0.05, 1.0, 4.0, 4.5, 50.0, 64.0, 64.5, 100.0,
+                          300.0])
+        wide = {base: [nat._ray_rows(u, base) is None for u in dirs]
+                for base in (0, empirical._RAY_BASE)}
+        if outlier == [200.0, 0.0]:
+            assert any(wide[0]) and not any(wide[empirical._RAY_BASE])
+        direct, sent = nat._evaluate_part, []
+
+        def recorded(pts):
+            sent.append(pts)
+            return direct(pts)
+
+        nat._evaluate_part = recorded
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             vals, trusted = nat.evaluate_with_trust(dirs, radii=radii)
+            del nat._evaluate_part
             want_vals, want_trusted = nat.evaluate_with_trust(
                 _ray_points(dirs, radii))
         assert np.all(np.abs(vals - want_vals) <= 1e-10 * np.abs(want_vals))
         assert np.array_equal(trusted, want_trusted)
+        # the point kernel gets radii past 64 and those whose direction is
+        # too wide at their base level: 4 for |r| <= 4, else 0
+        routed = [r * u for j, u in enumerate(dirs) for r in radii
+                  if r > 64.0 or wide[empirical._RAY_BASE if r <= 4.0
+                                      else 0][j]]
+        assert np.array_equal(np.concatenate(sent), np.array(routed))
 
     def test_non_finite_direction_or_radius(self):
         nat = natural_function(sample(Gaussian(np.eye(2)), 2000, 1))
