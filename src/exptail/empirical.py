@@ -497,9 +497,9 @@ _RAY_LEVELS = 10
 _RAY_MAX_RADIUS = 64.0
 
 #: Level rows are binned at for radii served at this level or coarser
-#: (|r| <= 4, which holds every radius of the default probe plan); radii at
-#: finer levels bin their rows at level 0. The base is fixed, so a value
-#: does not depend on its batch.
+#: (|r| <= 4, which holds every radius of ``norms.ray_probe_plan``'s default
+#: plan); radii at finer levels bin their rows at level 0. The base is
+#: fixed, so a value does not depend on its batch.
 _RAY_BASE = 4
 
 #: Elements (256 KB) of the ray kernel's largest arrays: rows are binned in
@@ -658,6 +658,9 @@ class EmpiricalNaturalFunction:
         self._data = source.data - source.data.mean(axis=0, keepdims=True)
         self._signs = enumerate_sign_vectors(source.dimension)
         self._block_rows = max(2, _NATURAL_BLOCK // self._data.shape[0])
+        #: base level -> (direction bytes, rows) of the last direction binned
+        #: at it, so ``tabulated_young``'s grid reuses ``trust_radius``'s rows
+        self._last_rows = {}
         self.dimension = source.dimension
 
     def evaluate(self, lam):
@@ -758,23 +761,26 @@ class EmpiricalNaturalFunction:
             t = data[:, 0] * w[0]
             for q in range(1, data.shape[1]):
                 t += data[:, q] * w[q]
+            t_max, t_min = t.max(), t.min()
             # bin floor(x / 2^base) holds level-0 bin x = floor(t / _RAY_BIN
-            # + 1/2); scaling by 2^-base before the floor is exact
-            b = t * (1.0 / (scale * _RAY_BIN))
-            b += 0.5 / scale
-            np.floor(b, out=b)
-            lo, hi = b.min(), b.max()
+            # + 1/2); scaling by 2^-base before the floor is exact, and the
+            # map is monotone, so the extreme bins are those of t's extremes
+            inv, half = 1.0 / (scale * _RAY_BIN), 0.5 / scale
+            lo, hi = np.floor(t_min * inv + half), np.floor(t_max * inv + half)
             if not hi - lo < n:
                 return None
             size = int(hi - lo) + 1
-            t_max, t_min = t.max(), t.min()
-            # the center (2^base b + (2^base - 1) / 2) _RAY_BIN, exactly
-            power = b + (1.0 - 1.0 / scale) / 2.0
-            power *= scale * _RAY_BIN
-            t -= power                     # offset from the bin's center
+            b = t * inv
+            b += half
+            np.floor(b, out=b)
             b -= lo
             idx = b.astype(np.intp)
-            del b
+            b += lo                        # exact: b and lo are integers
+            # the center (2^base b + (2^base - 1) / 2) _RAY_BIN, exactly
+            b += (1.0 - 1.0 / scale) / 2.0
+            b *= scale * _RAY_BIN
+            t -= b                         # offset from the bin's center
+            power = b
             Q = np.empty((_RAY_TERMS, size))
             Q[0] = np.bincount(idx, minlength=size)
             power[:] = t
@@ -794,7 +800,8 @@ class EmpiricalNaturalFunction:
         at _RAY_BASE, any other from rows binned at level 0.
         Row i of the first half of the sign vectors gives flip i at r and
         its negation, flip 2^d - 1 - i, at -r. Rows are summed in groups of
-        about _RAY_BLOCK moments."""
+        about _RAY_BLOCK moments. The rows of the last direction binned at
+        each base are kept, and a later call along it reuses them."""
         flips = len(self._signs)
         signed = np.concatenate([radii, -radii])
         levels = np.concatenate([level, level])
@@ -808,7 +815,10 @@ class EmpiricalNaturalFunction:
                 continue
             group, members, bins = [], [], 0
             for j, u in enumerate(dirs):
-                rows = self._ray_rows(u, base)
+                key = u.tobytes()
+                if self._last_rows.get(base, (None,))[0] != key:
+                    self._last_rows[base] = key, self._ray_rows(u, base)
+                rows = self._last_rows[base][1]
                 if rows is None:
                     wide[j, served] = True
                 else:
@@ -835,10 +845,17 @@ class EmpiricalNaturalFunction:
         u = np.asarray(direction, dtype=float)
         u = u / np.linalg.norm(u)
         radii = np.geomspace(1e-2, 64.0, 48)
-        _, trusted = self.evaluate_with_trust(u, radii=radii)
+        # values do not depend on the batch: the radii the level-_RAY_BASE
+        # rows serve come first, and the rest only when all of them are
+        # trusted, so rows are binned at level 0 only when the answer needs it
+        near = radii <= 2.0 ** (6 - _RAY_BASE)
+        _, trusted = self.evaluate_with_trust(u, radii=radii[near])
+        if np.all(trusted):
+            _, far = self.evaluate_with_trust(u, radii=radii[~near])
+            trusted = np.concatenate([trusted, far])
         if not trusted[0]:
             return radii[0]
-        if np.all(trusted):
+        if trusted.size == radii.size and np.all(trusted):
             return float(radii[-1])
         return float(radii[int(np.argmin(trusted)) - 1])
 

@@ -55,7 +55,11 @@ class ProbePlan:
 
 def ray_probe_plan(d: int, n_directions: int = 37, r_lo: float = 0.05,
                    r_hi: float = 4.0, n_radii: int = 25) -> ProbePlan:
-    """Default plan: low-discrepancy directions x log-spaced radii."""
+    """Default plan: low-discrepancy directions x log-spaced radii.
+
+    r_hi <= 4 keeps every radius on the natural function's rows binned at
+    level 4 (``empirical._RAY_BASE``), so evaluating the plan bins each of
+    its sign rows once; a larger r_hi bins each row at level 0 as well."""
     dirs = sphere_directions(d, n_directions)
     radii = np.geomspace(r_lo, r_hi, n_radii)
     pts = (dirs[:, None, :] * radii[None, :, None]).reshape(-1, d)

@@ -438,6 +438,40 @@ class TestRayKernel:
         assert sorted(bases) == sorted((tuple(u), base) for u in dirs[:3]
                                        for base in (0, empirical._RAY_BASE))
 
+    @pytest.mark.parametrize("dist, bases", [
+        (SymmetricWeibull(1.0, 1.0, 1), [empirical._RAY_BASE]),
+        (Gaussian([[1.0]]), [empirical._RAY_BASE, 0])],
+        ids=["weibull1_d1", "gaussian_d1"])
+    def test_trust_radius_bins_level0_only_when_needed(self, dist, bases,
+                                                       monkeypatch):
+        # trust radius 0.88 for the Weibull law, 3.90 for the Gaussian one,
+        # whose radii up to 4 are all trusted; either way the answer is that
+        # of one call over all 48 radii, and tabulated_young's grid reuses
+        # the rows trust_radius binned
+        src = sample(dist, 20_000, 14)
+        _, flags = natural_function(src).evaluate_with_trust(
+            np.ones(1), radii=TRUST_RADII)
+        near = flags[TRUST_RADII <= 4.0]
+        assert near.all() == (len(bases) == 2) and not flags.all()
+        ray_rows, binned = EmpiricalNaturalFunction._ray_rows, []
+
+        def recorded(self, u, base):
+            binned.append(base)
+            return ray_rows(self, u, base)
+
+        monkeypatch.setattr(EmpiricalNaturalFunction, "_ray_rows", recorded)
+        nat = natural_function(src)
+        lam_max = nat.trust_radius(np.ones(1))
+        assert lam_max == TRUST_RADII[max(int(np.argmin(flags)) - 1, 0)]
+        assert binned == bases
+        phi = nat.tabulated_young()
+        assert binned == bases and phi.params["lam_max"] == lam_max
+        grid = np.linspace(0.0, lam_max, 1025)
+        want, _ = natural_function(src).evaluate_with_trust(np.ones(1),
+                                                            radii=grid)
+        assert np.array_equal(phi.value(grid[1:-1, None]),
+                              np.maximum(want[1:-1], 0.0))
+
     @pytest.mark.parametrize("outlier", [None, [30.0, -4.0], [200.0, 0.0],
                                          [1e4, -1e4]],
                              ids=["no_outlier", "near_outlier",
