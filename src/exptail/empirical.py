@@ -855,7 +855,7 @@ class EmpiricalNaturalFunction:
             trusted = np.concatenate([trusted, far])
         if not trusted[0]:
             return radii[0]
-        if trusted.size == radii.size and np.all(trusted):
+        if np.all(trusted):
             return float(radii[-1])
         return float(radii[int(np.argmin(trusted)) - 1])
 
