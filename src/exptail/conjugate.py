@@ -21,8 +21,12 @@ row's value does not depend on the other rows of its batch as long as the
 source evaluates each row alone. The same searches serve the biconjugate
 check; the log-reparameterized conjugate behind the moment norm polishes a
 batch of order rows with ``pattern_search``, one call per final box.
-Reported values are always lower bounds of the true supremum (x = 0 is
-always a candidate, so phi* >= 0).
+``bb_ascent`` stops a row that starts at a stationary point (gradient below
+its tolerance) after one probe of length cell along the gradient, when that
+probe does not gain: the concave objective then curves enough that, in
+the quadratic model, the start is within a quarter of the row's slack of
+the maximum, so an exact warm start costs two objective calls. Reported values are always lower
+bounds of the true supremum (x = 0 is always a candidate, so phi* >= 0).
 
 On the whole space, a source with a gradient skips the grid for each row
 whose crossing r is at most h / 2, h = 2^ceil(log2 2(1 + max|y_i|)): the
@@ -341,18 +345,23 @@ def bb_ascent(f, x, cell, scale, project):
     step of length ``cell[i]``, and stops on its own once its gradient is
     below 1e-9 ``scale[i]`` and its step below 1e-13 (1 + max|x_i|), or
     after 240 steps; each pass evaluates only the rows still running, and
-    a row's last point is evaluated too. Returns the best point of each
-    row, with its objective and gradient, and whether the row stopped on
-    its tolerance rather than on the step cap.
+    a row's last point is evaluated too. A row whose start gradient is
+    already below 1e-9 ``scale[i]`` and whose first step, of length
+    ``cell[i]`` along it, does not gain stops after those two evaluations
+    at its start: for a concave objective the lost probe shows a curvature
+    of at least 2|g| / ``cell[i]`` along g, so in the quadratic model the
+    start is within |g| ``cell[i]`` / 4 of the maximum. Returns the best
+    point of each row, with its objective and gradient, and whether the row
+    stopped on its tolerance rather than on the step cap.
     """
     rows = np.arange(x.shape[0])
     x = project(x.copy())
     best_v, g = f(rows, x)
     best_x, best_g = x.copy(), g.copy()
-    alpha = cell / np.maximum(row_norm(g), 1e-30)
+    gn = row_norm(g)
+    alpha = cell / np.maximum(gn, 1e-30)
     x_prev, g_prev = x, g
     x = project(x + alpha[:, None] * g)
-    stop = np.zeros(rows.size, dtype=bool)
     converged = np.zeros(rows.size, dtype=bool)
     for it in range(241):
         v, g = f(rows, x)
@@ -360,6 +369,12 @@ def bb_ascent(f, x, cell, scale, project):
         best_v[rows[better]] = v[better]
         best_x[rows[better]] = x[better]
         best_g[rows[better]] = g[better]
+        if it == 0:
+            # a stationary start whose probe loses: the concave objective
+            # curves by at least 2|g| / cell along g, so in the quadratic
+            # model the start is within |g| cell / 4 of the maximum, inside
+            # the row's slack |g| cell
+            stop = (gn / scale < 1e-9) & ~better
         converged[rows[stop]] = True
         if it == 240 or np.all(stop):
             break

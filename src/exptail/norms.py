@@ -285,7 +285,9 @@ def luxemburg_norm(s: SampleSet, N: OrliczFunction, rel_tol: float = 1e-4, *,
     cost for large sample sets.
 
     Each step warm-starts its conjugation at the last step's maximizers
-    scaled by c_prev / c, exact for a quadratic phi. The first step, and a
+    scaled by c_prev / c, exact for a quadratic phi; ``bb_ascent`` stops a
+    row that starts at a stationary point after one probe that does not
+    gain, so such a row costs two objective calls. The first step, and a
     step after an infinite N value (a diverged row or an overflow), run
     cold. The evaluator re-solves cold each warm row that did not converge,
     so N stays a lower bound that reaches the cold maximum.
@@ -338,14 +340,14 @@ def equivalence_report(s: SampleSet, phi: YoungFunction, *,
     heavy probe discarding (suspected non-membership), and any pairwise
     ratio leaving the band [1/50, 50].
     """
+    plan = plan or ray_probe_plan(phi.dimension)
     nat = natural_function(s)
     est_b = bphi_norm(nat, phi, plan=plan)
     est_g = gls_norm_vector(lambda r: vector_moment(s, r), phi)
     est_l = luxemburg_norm(s, OrliczFunction(phi), subsample=4000)
 
     flags = list(est_b.flags)
-    plan_size = (plan or ray_probe_plan(phi.dimension)).points.shape[0]
-    if est_b.trust_flags > 0.25 * plan_size:
+    if est_b.trust_flags > 0.25 * plan.points.shape[0]:
         flags.append("bphi_low_trust")
     vals = {"bphi": est_b.value, "gls": est_g.value, "luxemburg": est_l.value}
     ratios = {}

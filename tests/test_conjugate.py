@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 from exptail.bounds import phi_bar_function
 from exptail.conjugate import (ConjugateEvaluator, _chunked_scores,
-                               biconjugate_residual, conjugate, line_search,
-                               log_reparam, log_reparam_conjugate,
-                               pattern_search, ray_inverse)
+                               bb_ascent, biconjugate_residual, conjugate,
+                               line_search, log_reparam,
+                               log_reparam_conjugate, pattern_search,
+                               ray_inverse)
 from exptail.empirical import (Gaussian, SymmetricWeibull, natural_function,
                                sample)
 from exptail.errors import ParameterError
 from exptail.specs import young_from_spec
-from exptail.vectors import box_grid
+from exptail.vectors import box_grid, row_max_abs, row_sum
 from exptail.young import (SupportRegion, make_bounded_support, make_custom,
                            make_logcosh, make_power, make_quadratic,
                            make_radial)
@@ -404,6 +405,100 @@ class TestWarmScreen:
         warm = ev.values(Y, x0=np.linalg.solve(_B2, Y.T).T * 0.9)
         assert polished == [30]
         assert np.all(warm.converged)
+
+
+_BQ = np.array([[1.0, 0.5], [0.5, 1.0]])
+
+
+def _quadratic_ascent(B, Y, x):
+    """``bb_ascent`` on (x, y) - phi(x) for phi = 0.5 (B x, x), from ``x``
+    with the evaluator's warm settings; returns its result and the rows of
+    each objective call."""
+    phi = make_quadratic(B)
+    calls = []
+
+    def f(rows, X):
+        calls.append(rows.copy())
+        return row_sum(Y[rows] * X) - phi.value(X), Y[rows] - phi.grad(X)
+
+    out = bb_ascent(f, x, np.full(x.shape[0], 1e-3), 1.0 + row_max_abs(Y),
+                    lambda X: X)
+    return out, calls
+
+
+def _count_objective_calls(monkeypatch):
+    """The row count of each objective call ``bb_ascent`` makes."""
+    calls = []
+    inner = conjugate_module.bb_ascent
+
+    def counted(f, *args):
+        def g(rows, X):
+            calls.append(rows.size)
+            return f(rows, X)
+        return inner(g, *args)
+
+    monkeypatch.setattr(conjugate_module, "bb_ascent", counted)
+    return calls
+
+
+class TestBBAscentStationaryStart:
+    """A row that starts at a stationary point stops after its start and
+    one probe of length cell, when that probe does not gain."""
+
+    def test_exact_maximizers_cost_two_calls(self):
+        Y = np.random.default_rng(2).standard_normal((6, 2)) * 3.0
+        x = np.linalg.solve(_BQ, Y.T).T
+        (best_x, best_v, _, converged), calls = _quadratic_ascent(_BQ, Y, x)
+        assert len(calls) == 2
+        assert np.all(converged)
+        assert np.array_equal(best_x, x)
+        start = row_sum(Y * x) - make_quadratic(_BQ).value(x)
+        assert np.array_equal(best_v, start)
+
+    def test_mixed_rows_equal_lone_runs(self):
+        Y = np.random.default_rng(5).standard_normal((6, 2)) * 3.0
+        x = np.linalg.solve(_BQ, Y.T).T
+        x[1::2] = x[1::2] * 0.9 + 0.3           # off the optimum
+        batch, calls = _quadratic_ascent(_BQ, Y, x)
+        for i in range(Y.shape[0]):
+            alone, _ = _quadratic_ascent(_BQ, Y[i:i + 1], x[i:i + 1])
+            for part, lone in zip(batch, alone):
+                assert np.array_equal(part[i], lone[0])
+            n_calls = sum(i in rows for rows in calls)
+            assert (n_calls == 2) == (i % 2 == 0)
+        assert np.all(batch[3])
+
+    def test_flat_objective_keeps_climbing_after_a_gaining_probe(
+            self, monkeypatch):
+        # |g| = 9e-10 is below 1e-9 (1 + |y|), but the start is 4e-11 below
+        # phi*(y), far more than the slack |g| cell of a row stopped there;
+        # the probe gains, so the row climbs on to the closed form
+        calls = _count_objective_calls(monkeypatch)
+        B, y = 1e-8, 1e-6
+        x0 = (y - 9e-10) / B
+        closed = y * y / (2.0 * B)
+        assert closed - (y * x0 - 0.5 * B * x0 * x0) > 1e-11
+        batch = ConjugateEvaluator(make_quadratic([[B]])).values(
+            [[y]], x0=[[x0]])
+        assert len(calls) > 2
+        assert batch.converged[0]
+        assert closed - batch.slack[0] <= batch.values[0] <= closed
+        assert batch.argmax[0, 0] == pytest.approx(y / B, rel=1e-12)
+
+    def test_perturbed_start_stays_within_its_slack(self, monkeypatch):
+        # the probe of length cell loses, so the row stops at its start,
+        # 2.4e-14 below phi*(y) and inside its slack of about 8.5e-13
+        calls = _count_objective_calls(monkeypatch)
+        B = 1e-5 * _BQ
+        Y = 1e-6 * np.array([[1.0, -2.0]])
+        g = np.array([[6e-10, 6e-10]])
+        x0 = np.linalg.solve(B, (Y - g).T).T
+        closed = 0.5 * float(Y[0] @ np.linalg.solve(B, Y[0]))
+        batch = ConjugateEvaluator(make_quadratic(B)).values(Y, x0=x0)
+        assert calls == [1, 1]
+        assert batch.converged[0]
+        assert np.array_equal(batch.argmax, x0)
+        assert closed - batch.slack[0] <= batch.values[0] < closed
 
 
 #: 3-D matrices whose leading blocks give the d = 1, 2 and 3 sources

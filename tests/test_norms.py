@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -15,6 +16,8 @@ from exptail.norms import (OrliczFunction, bphi_norm, default_moment_grid,
 from exptail.specs import distribution_from_spec, young_from_spec
 from exptail.vectors import bisect_rows
 from exptail.young import make_logcosh, make_quadratic
+
+norms_module = importlib.import_module("exptail.norms")
 
 GAUSS_MGF_2D = lambda L: 0.5 * np.sum(np.atleast_2d(L) ** 2, axis=-1)
 
@@ -345,11 +348,20 @@ class TestEquivalenceReport:
         for key in r1.ratios:
             assert r2.ratios[key] == pytest.approx(r1.ratios[key], rel=0.02)
 
-    def test_exponential_tails_flagged(self):
+    def test_exponential_tails_flagged(self, monkeypatch):
         # weibull p=1 has an MGF blowing up at finite lam: heavy probe
-        # discarding marks suspected non-membership for a quadratic envelope
+        # discarding marks suspected non-membership for a quadratic envelope;
+        # bphi_norm and the low-trust flag share one default plan
+        plans = []
+
+        def counted(*args, **kwargs):
+            plans.append(args)
+            return ray_probe_plan(*args, **kwargs)
+
+        monkeypatch.setattr(norms_module, "ray_probe_plan", counted)
         s = sample(SymmetricWeibull(1.0, 1.0, 1), 60_000, seed=29)
         rep = equivalence_report(s, make_quadratic([[1.0]]))
+        assert plans == [(1,)]
         assert rep.bphi.trust_flags > 0
         assert any(f in ("bphi_low_trust", "exceeds_cap") for f in rep.flags)
 
