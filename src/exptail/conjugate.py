@@ -23,10 +23,11 @@ check; the log-reparameterized conjugate behind the moment norm polishes a
 batch of order rows with ``pattern_search``, one call per final box.
 ``bb_ascent`` stops a row that starts at a stationary point (gradient below
 its tolerance) after one probe of length cell along the gradient, when that
-probe does not gain: the concave objective then curves enough that, in
-the quadratic model, the start is within a quarter of the row's slack of
-the maximum, so an exact warm start costs two objective calls. Reported values are always lower
-bounds of the true supremum (x = 0 is always a candidate, so phi* >= 0).
+probe does not gain: the concave objective then curves enough that, in the
+quadratic model, the start is within a quarter of the row's slack of the
+maximum, so an exact warm start costs two objective calls. Reported values
+are always lower bounds of the true supremum (x = 0 is always a candidate,
+so phi* >= 0).
 
 On the whole space, a source with a gradient skips the grid for each row
 whose crossing r is at most h / 2, h = 2^ceil(log2 2(1 + max|y_i|)): the
@@ -370,10 +371,8 @@ def bb_ascent(f, x, cell, scale, project):
         best_x[rows[better]] = x[better]
         best_g[rows[better]] = g[better]
         if it == 0:
-            # a stationary start whose probe loses: the concave objective
-            # curves by at least 2|g| / cell along g, so in the quadratic
-            # model the start is within |g| cell / 4 of the maximum, inside
-            # the row's slack |g| cell
+            # a stationary start whose probe loses is within |g| cell / 4
+            # of the maximum in the quadratic model, inside its slack
             stop = (gn / scale < 1e-9) & ~better
         converged[rows[stop]] = True
         if it == 240 or np.all(stop):

@@ -1,10 +1,10 @@
-import importlib
 import math
 
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn
 
+import exptail.norms as norms_module
 from exptail.conjugate import log_reparam_conjugate
 from exptail.empirical import (Gaussian, RademacherScaled, SymmetricWeibull,
                                natural_function, sample, vector_moment)
@@ -16,8 +16,6 @@ from exptail.norms import (OrliczFunction, bphi_norm, default_moment_grid,
 from exptail.specs import distribution_from_spec, young_from_spec
 from exptail.vectors import bisect_rows
 from exptail.young import make_logcosh, make_quadratic
-
-norms_module = importlib.import_module("exptail.norms")
 
 GAUSS_MGF_2D = lambda L: 0.5 * np.sum(np.atleast_2d(L) ** 2, axis=-1)
 
