@@ -203,16 +203,22 @@ def phi_n_function(phi: YoungFunction, n: int) -> YoungFunction:
     if n < 1:
         raise ParameterError("n must be >= 1")
     root = math.sqrt(n)
-    grad = None
+    grad = grad_inverse = None
     if phi.has_gradient:
         def grad(x, _root=root):
             return _root * phi.grad(np.asarray(x) / _root)
+    if phi.has_grad_inverse:
+        def grad_inverse(y):
+            # grad phi_n(x) = sqrt(n) grad phi(x / sqrt(n))
+            X, diverged = phi.grad_inverse(np.asarray(y) / root)
+            return root * X, diverged
 
     return make_custom(phi.dimension,
                        lambda x: n * phi.value_ext(np.asarray(x) / root),
                        support=phi.support.scaled(root), gradient=grad,
                        hessian_at_origin=phi.hessian_at_origin,
-                       params={"base": phi.family, "n": n})
+                       params={"base": phi.family, "n": n},
+                       grad_inverse=grad_inverse)
 
 
 def _geometric_n_set(n_max: int) -> list:

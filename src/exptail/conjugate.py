@@ -20,29 +20,40 @@ the pattern search's calls. Every search stops each row on its own, so a
 row's value does not depend on the other rows of its batch as long as the
 source evaluates each row alone. The same searches serve the biconjugate
 check; the log-reparameterized conjugate behind the moment norm polishes a
-batch of order rows with ``pattern_search``, one call per final box.
+batch of order rows, one search per final box: ``bb_ascent`` when the
+source has a gradient, else ``pattern_search``.
 ``bb_ascent`` stops a row that starts at a stationary point (gradient below
 its tolerance) after one probe of length cell along the gradient, when that
 probe does not gain: the concave objective then curves enough that, in the
 quadratic model, the start is within a quarter of the row's slack of the
 maximum, so an exact warm start costs two objective calls. Reported values
-are always lower bounds of the true supremum (x = 0 is always a candidate,
-so phi* >= 0).
+are the objective at an evaluated point (x = 0 is always a candidate, so
+phi* >= 0), rounded in float64; value - slack is a lower bound of the
+supremum.
 
-On the whole space, a source with a gradient skips the grid for each row
-whose crossing r is at most h / 2, h = 2^ceil(log2 2(1 + max|y_i|)): the
-row starts at r y / (2|y|), where the concave objective is nonnegative,
-and ``bb_ascent`` polishes it. A row with y = 0, with no crossing below
-h / 2, or whose polish does not converge is gridded, on its box from the
-same bisection. The cap keeps each seed where the rounding of the
-objective stays far below the polish tolerance (logcosh at y = 1
+A source with ``grad_inverse`` (every built-in family, and phi_n of one)
+starts each row at its exact maximizer x* = (grad phi)^-1(y), since
+grad phi* = (grad phi)^-1, in cold and warm calls alike; ``bb_ascent``
+confirms an exact seed in two objective calls, and the row's slack adds
+4 ulp(|x*| |y|), the objective's rounding at x*. A row the inverse flags
+diverged is +inf along the ray it returns. A row whose seed or whose
+objective there is not finite, or whose polish does not converge, takes
+the path of a source without ``grad_inverse``, below.
+
+On the whole space, a source with a gradient skips the grid for each such
+row whose crossing r is at most h / 2, h = 2^ceil(log2 2(1 + max|y_i|)):
+the row starts at r y / (2|y|), where the concave objective is
+nonnegative, and ``bb_ascent`` polishes it. A row with y = 0, with no
+crossing below h / 2, or whose polish does not converge is gridded, on its
+box from the same bisection. The cap keeps each seed where the rounding of
+the objective stays far below the polish tolerance (logcosh at y = 1
 "crosses" near 1e16 only by rounding).
 
-A warm-started call polishes from the given points, except the rows whose
-ray does not cross phi within the grid's reach R = h 2^60 (phi(r u) / r
-does not decrease for a convex phi with phi(0) = 0, so phi(R u) < |y| R
-rules out every crossing below R). Those rows, and every row whose polish
-did not converge, are re-solved through the grid stage.
+A warm-started call polishes those rows from the given points, except the
+rows whose ray does not cross phi within the grid's reach R = h 2^60
+(phi(r u) / r does not decrease for a convex phi with phi(0) = 0, so
+phi(R u) < |y| R rules out every crossing below R). Those rows, and every
+row whose polish did not converge, are re-solved through the grid stage.
 """
 from __future__ import annotations
 
@@ -71,9 +82,11 @@ _CGOLD = 2.0 - _GOLD
 #: Step caps of ``line_search``'s walk and of its Brent loop.
 _WALK_STEPS = 60
 _BRENT_STEPS = 200
-#: First polish step of a ray-seeded row, as a share of its crossing r; the
-#: row's slack, |gradient| times this step, takes it as the distance left.
+#: First polish step of a ray-seeded row, as a share of its crossing r, or
+#: of an exact-seeded row, as a share of 1 + max|x*_i|; the row's slack,
+#: |gradient| times this step, takes it as the distance left.
 _SEED_CELL = 1e-6
+_FLOAT_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -139,6 +152,17 @@ def _chunked_scores(Y, X, phiX):
     return best_val, best_idx
 
 
+def _empty_batch(m, d) -> ConjugateBatch:
+    return ConjugateBatch(np.zeros(m), np.zeros((m, d)), np.zeros(m),
+                          np.zeros(m, dtype=bool), np.zeros(m, dtype=bool))
+
+
+def _rows(mask):
+    # the rows of mask, as a slice when it holds them all: a slice takes
+    # views, where an index array copies
+    return slice(None) if np.all(mask) else np.flatnonzero(mask)
+
+
 def _put(out: ConjugateBatch, rows, part: ConjugateBatch) -> None:
     for field in ("values", "argmax", "slack", "diverged", "converged"):
         getattr(out, field)[rows] = getattr(part, field)
@@ -147,15 +171,18 @@ def _put(out: ConjugateBatch, rows, part: ConjugateBatch) -> None:
 class ConjugateEvaluator:
     """Conjugation of one source function; it holds only ``phi``.
 
-    The settings are fixed: on the whole space, a source with a gradient
-    starts each row with a ray crossing r <= h / 2 at r y / (2|y|) and
-    polishes it with ``bb_ascent``, with a first step of ``_SEED_CELL`` r.
-    Every other row gets a grid of ``_GRID_RES`` points per axis over the
-    support's bounding box, or, on the whole space, over a per-row box sized
-    from phi along the ray of y (see the module docstring) that doubles at
-    most ``_MAX_EXPANSIONS`` times; then ``bb_ascent``, or, for a source
-    without a gradient, ``line_search`` at d = 1 and ``pattern_search``
-    above, started with the row's grid cell.
+    The settings are fixed: a source with ``grad_inverse`` starts each row
+    at its maximizer x* and confirms it with ``bb_ascent``, with a first
+    step of ``_SEED_CELL`` (1 + max|x*_i|). For the other rows, on the whole
+    space, a source with a gradient starts each row with a ray crossing
+    r <= h / 2 at r y / (2|y|) and polishes it with ``bb_ascent``, with a
+    first step of ``_SEED_CELL`` r. Every other row gets a grid of
+    ``_GRID_RES`` points per axis over the support's bounding box, or, on
+    the whole space, over a per-row box sized from phi along the ray of y
+    (see the module docstring) that doubles at most ``_MAX_EXPANSIONS``
+    times; then ``bb_ascent``, or, for a source without a gradient,
+    ``line_search`` at d = 1 and ``pattern_search`` above, started with the
+    row's grid cell.
     """
 
     def __init__(self, phi: YoungFunction):
@@ -170,24 +197,58 @@ class ConjugateEvaluator:
     def values(self, Y, x0=None) -> ConjugateBatch:
         """Batched phi* at the rows of Y, which must be finite.
 
-        Without ``x0``, rows are ray-seeded or gridded (see the class
-        docstring). ``x0`` warm-starts the polish: row i starts at
+        A source with ``grad_inverse`` starts each row at its exact
+        maximizer, cold or warm, and a row it flags diverged is +inf. Every
+        other row is ray-seeded or gridded without ``x0`` (see the class
+        docstring); ``x0`` warm-starts its polish: row i starts at
         ``x0[i]``, with no grid stage, and x = 0 stays a candidate. Only the
-        grid stage detects divergence, and a polish that stops on its step
-        cap may sit far below the supremum, so a warm row whose ray has no
-        crossing within the grid's reach skips the polish, and it and every
-        warm or seeded row that did not converge is re-solved through the
-        grid stage within this call. For a convex phi the objective is
-        concave, so a converged row reaches the maximum the grid stage and
-        its polish reach, to within the polish tolerance. Values stay lower
-        bounds of the supremum: each is the objective at a point it was
-        evaluated.
+        grid stage and ``grad_inverse`` detect divergence, and a polish
+        that stops on its step cap may sit far below the supremum, so a
+        warm row whose ray has no crossing within the grid's reach skips
+        the polish, and it and every warm or seeded row that did not
+        converge is re-solved through the grid stage within this call. For
+        a convex phi the objective is concave, so a converged row reaches
+        the maximum the grid stage and its polish reach, to within the
+        polish tolerance.
+
+        Each value is the objective at a point it was evaluated, rounded in
+        float64: at an exact maximizer that can land a few ulp above the
+        supremum, so the certified lower bound is ``values - slack``, and
+        a converged row is within its slack of phi*.
         """
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         if Y.shape[1] != self.phi.dimension:
             raise ParameterError("query dimension mismatch")
         if not np.all(np.isfinite(Y)):
             raise ParameterError("query rows must be finite")
+        m, d = Y.shape
+        out = _empty_batch(m, d)
+        rest = np.arange(m)
+        if self.phi.has_grad_inverse:
+            X, diverged = self.phi.grad_inverse(Y)
+            out.values[diverged] = np.inf
+            out.argmax[diverged] = X[diverged]
+            out.diverged[:] = diverged
+            rows = _rows(~diverged & np.isfinite(row_sum(X)))
+            X, top = X[rows], row_max_abs(X[rows])
+            self._start(out, rows, Y[rows], X, _SEED_CELL * (1.0 + top))
+            # the objective's rounding at the maximizer, a few ulp of
+            # |(x, y)| + phi(x) <= 2 |x| |y|: 4 ulp(|x| |y|), taken at
+            # d max|x_i| max|y_i| >= |x| |y| (inf past the float range)
+            with np.errstate(over="ignore"):
+                xy = np.minimum(d * top * row_max_abs(Y[rows]), _FLOAT_MAX)
+                out.slack[rows] += 4.0 * np.spacing(xy)
+            rest = np.flatnonzero(~diverged & ~out.converged)
+        if rest.size:
+            _put(out, rest, self._search(
+                Y[rest], None if x0 is None else np.atleast_2d(
+                    np.asarray(x0, dtype=float))[rest]))
+        return out
+
+    # -- internals ----------------------------------------------------------
+
+    def _search(self, Y, x0):
+        # the rows without an exact seed: ray-seeded, warm or gridded
         m, d = Y.shape
         if x0 is None:
             # seed the rows whose ray crosses phi at r <= h / 2 at r y/2|y|
@@ -197,18 +258,11 @@ class ConjugateEvaluator:
             cell = _SEED_CELL * r[start]
         else:
             start = ~self._escapes(Y)
-            x = np.atleast_2d(np.asarray(x0, dtype=float))[start]
+            x = x0[start]
             cell = np.full(x.shape[0], 1e-3)
-        out = ConjugateBatch(np.zeros(m), np.zeros((m, d)), np.zeros(m),
-                             np.zeros(m, dtype=bool), np.zeros(m, dtype=bool))
-        rows = np.flatnonzero(start)
-        if rows.size:
-            x, Ys = self.phi.support.project(x), Y[rows]
-            _put(out, rows, self._polish(Ys, x, self._objective(Ys, x), cell,
-                                         np.zeros(rows.size, dtype=bool)))
-            below = ~(out.values >= 0.0)    # x = 0 is always a candidate
-            out.values[below] = 0.0
-            out.argmax[below] = 0.0
+        out = _empty_batch(m, d)
+        rows = _rows(start)
+        self._start(out, rows, Y[rows], x, cell)
         redo = np.flatnonzero(~out.converged)
         if redo.size:
             box = h[redo] if x0 is None else self._first_box(Y[redo])[0]
@@ -216,7 +270,15 @@ class ConjugateEvaluator:
                                          *self._grid_stage(Y[redo], box)))
         return out
 
-    # -- internals ----------------------------------------------------------
+    def _start(self, out, rows, Y, x, cell):
+        # polish the rows Y of out from x; x = 0 is always a candidate
+        if Y.shape[0]:
+            _put(out, rows, self._polish(
+                Y, self.phi.support.project(x), None, cell,
+                np.zeros(Y.shape[0], dtype=bool)))
+            below = ~(out.values >= 0.0)
+            out.values[below] = 0.0
+            out.argmax[below] = 0.0
 
     def _objective(self, Y, X):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -306,18 +368,30 @@ class ConjugateEvaluator:
         m = Y.shape[0]
         out = ConjugateBatch(np.full(m, np.inf), x.copy(), np.zeros(m),
                              diverged, np.zeros(m, dtype=bool))
-        live = np.flatnonzero(~diverged)
-        if live.size:
+        if not np.all(diverged):
+            live = _rows(~diverged)
             (out.values[live], out.argmax[live], out.slack[live],
              out.converged[live]) = self._polish_rows(
-                Y[live], x[live], val[live], cell[live])
+                Y[live], x[live], None if val is None else val[live],
+                cell[live])
         return out
 
     def _polish_rows(self, Y, x, val, cell):
+        # val is None for rows started at x, whose start value is then
+        # bb_ascent's first evaluation: a row whose start is not finite
+        # never counts as converged. A gridded row keeps its grid value,
+        # whose rounding may differ from the objective's.
         sup = self.phi.support
         if self.phi.has_gradient:
+            first = []
+
             def f(rows, X):
-                return self._objective(Y[rows], X), Y[rows] - self.phi.grad(X)
+                # rows is sorted, so all of them while their count is m
+                Yr = Y if rows.size == Y.shape[0] else Y[rows]
+                v = self._objective(Yr, X)
+                if not first:
+                    first.append(v)
+                return v, Yr - self.phi.grad(X)
 
             # a row whose objective passes the float range (|y| near 1e154
             # and up) gets inf or NaN there, which never counts as a gain
@@ -326,10 +400,15 @@ class ConjugateEvaluator:
                     f, x, cell, 1.0 + row_max_abs(Y), sup.project)
                 slack = (row_norm(best_g) * cell
                          + 1e-14 * (1.0 + np.abs(best_v)))
-            low = val > best_v
-            best_v[low] = val[low]
-            best_x[low] = x[low]
+            if val is None:
+                converged &= np.isfinite(first[0])
+            else:
+                low = val > best_v
+                best_v[low] = val[low]
+                best_x[low] = x[low]
         else:
+            if val is None:
+                val = self._objective(Y, x)
             search = line_search if Y.shape[1] == 1 else pattern_search
             best_x, best_v, step, converged = search(
                 lambda rows, X: self._objective(Y[rows], X), x, val,
@@ -353,7 +432,8 @@ def bb_ascent(f, x, cell, scale, project):
     of at least 2|g| / ``cell[i]`` along g, so in the quadratic model the
     start is within |g| ``cell[i]`` / 4 of the maximum. Returns the best
     point of each row, with its objective and gradient, and whether the row
-    stopped on its tolerance rather than on the step cap.
+    stopped on its tolerance rather than on the step cap. The first call of
+    ``f`` holds every row's start.
     """
     rows = np.arange(x.shape[0])
     x = project(x.copy())
@@ -668,9 +748,11 @@ def log_reparam_conjugate(phi: YoungFunction, r):
     assumed): t sits at the support's edge, or starts at 3 and grows by 3
     while the row's best point lies on the box's upper edge. The rows still
     growing share one grid and its phi values, scored row by row. The rows
-    that end on the same box share one ``pattern_search``, clipped at its
-    upper edge, so a row's value does not depend on its batch. A row whose
-    box passes t = 400 is diverged, +inf.
+    that end on the same box share one polish from their grid winners,
+    clipped at its upper edge, so a row's value does not depend on its
+    batch: ``bb_ascent`` with the gradient r - e^mu grad phi(e^mu) when phi
+    has one, else ``pattern_search``; the grid value stays a candidate. A
+    row whose box passes t = 400 is diverged, +inf.
     """
     d = phi.dimension
     R = np.atleast_1d(np.asarray(r, dtype=float))
@@ -710,8 +792,26 @@ def log_reparam_conjugate(phi: YoungFunction, r):
     for t in sorted(set(end[np.isfinite(end)].tolist())):
         rows = np.flatnonzero(end == t)
         Rt, mu_hi = R[rows], np.full(d, t)
-        star[rows] = pattern_search(
-            lambda k, M: row_sum(M * Rt[k]) - source(M), best_mu[rows],
-            best_v[rows], np.full(rows.size, (t - _MU_LO) / (res - 1)),
-            lambda M: np.minimum(M, mu_hi), math.inf)[1]
+        cell = np.full(rows.size, (t - _MU_LO) / (res - 1))
+
+        def clip(M):
+            return np.minimum(M, mu_hi)
+
+        if not phi.has_gradient:
+            star[rows] = pattern_search(
+                lambda k, M: row_sum(M * Rt[k]) - source(M), best_mu[rows],
+                best_v[rows], cell, clip, math.inf)[1]
+            continue
+
+        def f(k, M):
+            # the gradient r - e^mu * grad phi(e^mu); past the float range
+            # the objective is -inf or NaN, which never gains
+            with np.errstate(over="ignore", invalid="ignore"):
+                lam = np.exp(M)
+                return (row_sum(M * Rt[k]) - phi.value_ext(lam),
+                        Rt[k] - lam * phi.grad(lam))
+
+        # the grid value stays a candidate: its rounding may differ
+        star[rows] = np.fmax(best_v[rows], bb_ascent(
+            f, best_mu[rows], cell, 1.0 + row_max_abs(Rt), clip)[1])
     return float(star[0]) if one else star

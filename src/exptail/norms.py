@@ -285,12 +285,14 @@ def luxemburg_norm(s: SampleSet, N: OrliczFunction, rel_tol: float = 1e-4, *,
     cost for large sample sets.
 
     Each step warm-starts its conjugation at the last step's maximizers
-    scaled by c_prev / c, exact for a quadratic phi; ``bb_ascent`` stops a
-    row that starts at a stationary point after one probe that does not
-    gain, so such a row costs two objective calls. The first step, and a
-    step after an infinite N value (a diverged row or an overflow), run
-    cold. The evaluator re-solves cold each warm row that did not converge,
-    so N stays a lower bound that reaches the cold maximum.
+    scaled by c_prev / c, exact for a quadratic phi; a phi with
+    ``grad_inverse`` starts every row at its exact maximizer instead. Either
+    way ``bb_ascent`` stops a row that starts at a stationary point after
+    one probe that does not gain, so such a row costs two objective calls.
+    The first step, and a step after an infinite N value (a diverged row or
+    an overflow), run cold. The evaluator re-solves cold each warm row that
+    did not converge, so N stays a lower bound that reaches the cold
+    maximum.
     """
     data = s.data
     if subsample is not None and data.shape[0] > subsample:

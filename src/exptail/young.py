@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import OutsideSupportError, ParameterError
 from .vectors import (bisect_rows, enumerate_sign_vectors, log_cosh,
-                      row_norm, row_sum, sphere_directions)
+                      row_max_abs, row_norm, row_sum, sphere_directions)
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,13 @@ class YoungFunction:
     """
 
     def __init__(self, dimension, evaluate, support=None, gradient=None,
-                 hessian_at_origin=None, family="custom", params=None):
+                 hessian_at_origin=None, family="custom", params=None,
+                 grad_inverse=None):
         self.dimension = int(dimension)
         self._evaluate = evaluate
         self.support = support or SupportRegion()
         self._gradient = gradient
+        self._grad_inverse = grad_inverse
         self._hessian = None if hessian_at_origin is None else np.asarray(
             hessian_at_origin, dtype=float)
         self.family = family
@@ -117,6 +119,21 @@ class YoungFunction:
         if self._gradient is None:
             raise ParameterError(f"{self.family}: no gradient available")
         return self._gradient(self._as_points(lam))
+
+    @property
+    def has_grad_inverse(self) -> bool:
+        return self._grad_inverse is not None
+
+    def grad_inverse(self, Y):
+        """(X, diverged) at the (m, d) rows of Y: X[i] = (grad phi)^-1(Y[i]),
+        the maximizer of (x, Y[i]) - phi(x), since grad phi* = (grad phi)^-1
+        (Rockafellar, Convex Analysis, 1970, sec. 26). A diverged row has
+        phi* = +inf, and X[i] is a direction along which the objective grows
+        without bound. A row the inverse does not resolve (a finite supremum
+        with no maximizer, or a float overflow) holds a non-finite X[i]."""
+        if self._grad_inverse is None:
+            raise ParameterError(f"{self.family}: no gradient inverse")
+        return self._grad_inverse(np.atleast_2d(self._as_points(Y)))
 
     @property
     def hessian_at_origin(self) -> np.ndarray:
@@ -163,6 +180,15 @@ class YoungFunction:
 
 # -- concrete families ---------------------------------------------------
 
+def _rows_times(Y, A):
+    """Y @ A with a one-row Y multiplied as two copies of its row: a one-row
+    product would go to BLAS gemv, which rounds otherwise than gemm, so a
+    row would depend on its batch."""
+    if Y.shape[0] == 1:
+        return (Y[[0, 0]] @ A)[:1]
+    return Y @ A
+
+
 def make_quadratic(B) -> YoungFunction:
     """phi(lam) = 0.5 (B lam, lam) for a positive definite symmetric B."""
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -175,14 +201,18 @@ def make_quadratic(B) -> YoungFunction:
     except np.linalg.LinAlgError:
         raise ParameterError("B must be positive definite") from None
     d = B.shape[0]
+    B_inv_t = np.ascontiguousarray(np.linalg.inv(B).T)
 
     def ev(x):
         # einsum may round a row differently alone than in a batch
         return 0.5 * row_sum(x * (x @ B))
 
+    def gi(y):
+        return _rows_times(y, B_inv_t), np.zeros(y.shape[0], dtype=bool)
+
     return YoungFunction(d, ev, gradient=lambda x: x @ B,
                          hessian_at_origin=B, family="quadratic",
-                         params={"B": B.copy()})
+                         params={"B": B.copy()}, grad_inverse=gi)
 
 
 def make_power(p: float, c: float, d: int) -> YoungFunction:
@@ -205,9 +235,18 @@ def make_power(p: float, c: float, d: int) -> YoungFunction:
             g = c * p * n ** (p - 2.0) * x
         return np.where(n == 0.0, 0.0, g)
 
+    def gi(y):
+        # (|y| / (c p))^(1 / (p - 1)) y / |y|; |y| past the float range gives
+        # a non-finite row
+        with np.errstate(over="ignore", invalid="ignore"):
+            n = row_norm(y)
+            t = (n / (c * p)) ** (1.0 / (p - 1.0)) / np.where(n > 0.0, n, 1.0)
+            return t[:, None] * y, np.zeros(y.shape[0], dtype=bool)
+
     H = 2.0 * c * np.eye(d) if p == 2 else np.zeros((d, d))
     return YoungFunction(d, ev, gradient=gr, hessian_at_origin=H,
-                         family="power", params={"p": p, "c": c})
+                         family="power", params={"p": p, "c": c},
+                         grad_inverse=gi)
 
 
 def make_bounded_support(K: float, c: float) -> YoungFunction:
@@ -228,9 +267,18 @@ def make_bounded_support(K: float, c: float) -> YoungFunction:
         a = np.abs(t)
         return (c * t * (2.0 * K - a) / (K - a) ** 2)[..., None]
 
+    def gi(y):
+        # c a (2K - a) / (K - a)^2 = |y| is a^2 - 2K a + K^2 |y| / (|y| + c)
+        # = 0 in a = |x|; its root below K, K (1 - sqrt(c / (|y| + c))), is
+        # written without the cancellation
+        b = np.abs(y) + c
+        a = K * (np.abs(y) / b) / (1.0 + np.sqrt(c / b))
+        return np.copysign(a, y), np.zeros(y.shape[0], dtype=bool)
+
     return YoungFunction(1, ev, support=SupportRegion(K), gradient=gr,
                          hessian_at_origin=np.array([[2.0 * c / K]]),
-                         family="bounded", params={"K": K, "c": c})
+                         family="bounded", params={"K": K, "c": c},
+                         grad_inverse=gi)
 
 
 def make_radial(nu: Callable[[np.ndarray], np.ndarray], Q,
@@ -252,18 +300,42 @@ def make_radial(nu: Callable[[np.ndarray], np.ndarray], Q,
     def ev(x):
         return nu(quad(x))
 
-    gr = None
+    gr = gi = None
     if nu_prime is not None:
         def gr(x):
             return (2.0 * np.asarray(nu_prime(quad(x)))[..., None]) * (x @ Q)
 
-    if nu_prime is not None:
+        Q_inv_t = np.ascontiguousarray(np.linalg.inv(Q).T)
+
+        def gi(y):
+            # y = 2 nu'(q) Q x with q = (Q x, x): x = Q^-1 y / (2 nu'(q)),
+            # where q is the root of 4 q nu'(q)^2 = (Q^-1 y, y), bisected to
+            # one spacing; a row with no root below 1e300 is non-finite
+            with np.errstate(over="ignore", invalid="ignore",
+                             divide="ignore"):
+                z = _rows_times(y, Q_inv_t)
+                w = row_sum(y * z)
+
+                def ok(q, rows):
+                    s = np.asarray(nu_prime(q), dtype=float)
+                    return 4.0 * q * s * s >= w[rows]
+
+                q = bisect_rows(ok, np.zeros(w.size), 1.0, 0.0, 1e300)[1]
+                found = np.isfinite(q)
+                s = 2.0 * np.asarray(nu_prime(np.where(found, q, 0.0)),
+                                     dtype=float)
+                x = z / s[:, None]
+            x[w == 0.0] = 0.0
+            x[~found] = np.nan
+            return x, np.zeros(y.shape[0], dtype=bool)
+
         slope0 = float(np.asarray(nu_prime(np.zeros(1))).ravel()[0])
     else:
         h = 1e-7
         slope0 = float(np.asarray(nu(np.array([h]))).ravel()[0]) / h
     return YoungFunction(d, ev, gradient=gr, hessian_at_origin=2.0 * slope0 * Q,
-                         family="radial", params={"Q": Q.copy()})
+                         family="radial", params={"Q": Q.copy()},
+                         grad_inverse=gi)
 
 
 def make_logcosh(d: int, scale: float = 1.0) -> YoungFunction:
@@ -277,22 +349,36 @@ def make_logcosh(d: int, scale: float = 1.0) -> YoungFunction:
     def gr(x):
         return scale * np.tanh(scale * x)
 
+    def gi(y):
+        # artanh(y_j / s) / s; a row with some |y_j| > s is diverged along
+        # those axes, and one with |y_j| = s has no maximizer (x_j = inf)
+        out = np.abs(y) > scale
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.arctanh(y / scale) / scale
+        diverged = row_max_abs(y) > scale
+        x[diverged] = np.where(out[diverged], np.sign(y[diverged]), 0.0)
+        return x, diverged
+
     return YoungFunction(d, ev, gradient=gr,
                          hessian_at_origin=scale * scale * np.eye(d),
-                         family="logcosh", params={"scale": scale})
+                         family="logcosh", params={"scale": scale},
+                         grad_inverse=gi)
 
 
 def make_custom(dimension, evaluate, support=None, gradient=None,
-                hessian_at_origin=None, params=None) -> YoungFunction:
+                hessian_at_origin=None, params=None,
+                grad_inverse=None) -> YoungFunction:
     """Wrap a user-supplied vectorized evaluator as a YoungFunction.
 
     ``support`` is a ``SupportRegion(radius)``, the open ball of that radius
-    centered at 0; None means the whole space.
+    centered at 0; None means the whole space. ``grad_inverse`` follows the
+    contract of ``YoungFunction.grad_inverse``.
     """
     return YoungFunction(dimension, evaluate, support=support,
                          gradient=gradient,
                          hessian_at_origin=hessian_at_origin,
-                         family="custom", params=params)
+                         family="custom", params=params,
+                         grad_inverse=grad_inverse)
 
 
 # -- structural checkers --------------------------------------------------

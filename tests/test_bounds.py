@@ -282,6 +282,18 @@ class TestPhiN:
         assert np.allclose(fn.grad(x), phi.grad(x))
         assert fn.value(x)[0] == pytest.approx(float(phi.value(x)[0]), rel=1e-12)
 
+    @pytest.mark.parametrize("phi", [make_power(4.0, 1.0, 2), make_logcosh(2)],
+                             ids=["power4", "logcosh"])
+    def test_phi_n_function_gradient_inverse(self, phi):
+        # grad phi_n(x) = sqrt(n) grad phi(x / sqrt(n)), so its inverse is
+        # sqrt(n) (grad phi)^-1(y / sqrt(n)); logcosh_n diverges past sqrt(n)
+        fn = phi_n_function(phi, 4)
+        Y = np.array([[0.5, -0.25], [1.9, 1.0], [3.0, 0.1]])
+        X, diverged = fn.grad_inverse(Y)
+        live = ~diverged
+        assert list(live) == [True, True, phi.family == "power"]
+        assert np.allclose(fn.grad(X[live]), Y[live], rtol=1e-12)
+
 
 class TestSumBoundViaPhiN:
     def test_quadratic_matches_sigma_route(self):

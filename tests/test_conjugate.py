@@ -1,6 +1,7 @@
 import importlib
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -33,6 +34,14 @@ def _logcosh_star(Y):
     Y = np.asarray(Y, dtype=float)
     return 0.5 * np.sum((1 + Y) * np.log1p(Y) + (1 - Y) * np.log1p(-Y),
                         axis=-1)
+
+
+def _without_grad_inverse(phi):
+    """phi with its gradient but without ``grad_inverse``, so that its rows
+    take the ray-seeded, warm or gridded path."""
+    return make_custom(phi.dimension, phi.value_ext, support=phi.support,
+                       gradient=phi.grad,
+                       hessian_at_origin=phi.hessian_at_origin)
 
 
 # the module, which the package's conjugate() function shadows
@@ -478,8 +487,9 @@ class TestBBAscentStationaryStart:
         x0 = (y - 9e-10) / B
         closed = y * y / (2.0 * B)
         assert closed - (y * x0 - 0.5 * B * x0 * x0) > 1e-11
-        batch = ConjugateEvaluator(make_quadratic([[B]])).values(
-            [[y]], x0=[[x0]])
+        batch = ConjugateEvaluator(
+            _without_grad_inverse(make_quadratic([[B]]))).values(
+                [[y]], x0=[[x0]])
         assert len(calls) > 2
         assert batch.converged[0]
         assert closed - batch.slack[0] <= batch.values[0] <= closed
@@ -494,7 +504,8 @@ class TestBBAscentStationaryStart:
         g = np.array([[6e-10, 6e-10]])
         x0 = np.linalg.solve(B, (Y - g).T).T
         closed = 0.5 * float(Y[0] @ np.linalg.solve(B, Y[0]))
-        batch = ConjugateEvaluator(make_quadratic(B)).values(Y, x0=x0)
+        batch = ConjugateEvaluator(
+            _without_grad_inverse(make_quadratic(B))).values(Y, x0=x0)
         assert calls == [1, 1]
         assert batch.converged[0]
         assert np.array_equal(batch.argmax, x0)
@@ -592,14 +603,14 @@ class TestSeededColdPath:
             return inner(ok, lo, hi, *args)
 
         monkeypatch.setattr(conjugate_module, "bisect_rows", counted)
-        got = ConjugateEvaluator(make_logcosh(1)).values(
-            np.array([[0.25], [1.5], [0.0]]))
+        phi = _without_grad_inverse(make_logcosh(1))
+        got = ConjugateEvaluator(phi).values(np.array([[0.25], [1.5], [0.0]]))
         assert calls == [3]
         assert list(got.diverged) == [False, True, False]
         assert got.values[2] == 0.0
 
     @pytest.mark.parametrize("phi", [
-        make_bounded_support(1.0, 1.0),
+        _without_grad_inverse(make_bounded_support(1.0, 1.0)),
         make_custom(1, lambda x: 0.25 * np.asarray(x)[..., 0] ** 4)],
         ids=["bounded", "gradient_less"])
     def test_other_sources_keep_the_grid(self, phi, monkeypatch):
@@ -618,6 +629,177 @@ class TestSeededColdPath:
         want = _grid_path(ev, Y)
         assert np.array_equal(got.values, want.values)
         assert np.array_equal(got.argmax, want.argmax)
+
+
+def _decimal_logcosh_star(y):
+    """(sum_j log cosh x_j)*(y) at 40 digits, the double y taken exactly."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        one, total = Decimal(1), Decimal(0)
+        for yj in map(Decimal, y):
+            up, down = one + yj, one - yj
+            total += up * up.ln() + down * down.ln()
+        return total / 2
+
+
+def _decimal_quadratic_star(B, y):
+    """(1/2) y^T B^-1 y for a 2-by-2 B at 40 digits, B and y taken exactly."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        (a, b), (_, c) = [[Decimal(float(v)) for v in row] for row in B]
+        y1, y2 = Decimal(y[0]), Decimal(y[1])
+        return (c * y1 * y1 - 2 * b * y1 * y2 + a * y2 * y2) / (
+            2 * (a * c - b * b))
+
+
+def _count_grid_rows(monkeypatch):
+    """The row count of each ``_grid_stage`` call, appended as it is made."""
+    rows = []
+    inner = ConjugateEvaluator._grid_stage
+
+    def counted(self, Y, h):
+        rows.append(Y.shape[0])
+        return inner(self, Y, h)
+
+    monkeypatch.setattr(ConjugateEvaluator, "_grid_stage", counted)
+    return rows
+
+
+_B_CORR = {d: np.eye(d) + 0.3 * np.ones((d, d)) for d in (2, 4, 8, 16)}
+
+
+class TestExactSeeds:
+    """A source with ``grad_inverse`` starts each row at its maximizer
+    (grad phi)^-1(y), cold or warm, and ``bb_ascent`` confirms it."""
+
+    @pytest.mark.parametrize("d", [4, 8, 16])
+    @pytest.mark.parametrize("name", ["quadratic", "power4", "logcosh"])
+    def test_closed_forms_with_no_row_gridded(self, name, d, monkeypatch):
+        gridded = _count_grid_rows(monkeypatch)
+        rng = np.random.default_rng(d)
+        if name == "quadratic":
+            B = _B_CORR[d]
+            phi, Y = make_quadratic(B), rng.standard_normal((1000, d))
+            exact = 0.5 * np.einsum("ij,ij->i", Y,
+                                    np.linalg.solve(B, Y.T).T)
+        elif name == "power4":
+            phi, Y = make_power(4.0, 1.0, d), rng.standard_normal((1000, d))
+            exact = _power_star(4.0, Y)
+        else:
+            phi, Y = make_logcosh(d), rng.uniform(-0.95, 0.95, (1000, d))
+            exact = _logcosh_star(Y)
+        got = ConjugateEvaluator(phi).values(Y)
+        assert sum(gridded) == 0
+        assert np.all(got.converged) and not np.any(got.diverged)
+        assert np.allclose(got.values, exact, rtol=1e-12, atol=1e-15)
+
+    def test_logcosh_d8_rows_past_one_diverge_along_their_axes(
+            self, monkeypatch):
+        gridded = _count_grid_rows(monkeypatch)
+        Y = np.random.default_rng(8).uniform(-1.1, 1.1, (1000, 8))
+        out = np.abs(Y) > 1.0
+        far = np.any(out, axis=1)
+        assert 100 < np.count_nonzero(far) < 900
+        got = ConjugateEvaluator(make_logcosh(8)).values(Y)
+        assert sum(gridded) == 0
+        assert np.array_equal(got.diverged, far)
+        assert np.all(np.isinf(got.values[far]))
+        assert np.all(got.slack[far] == 0.0) and not np.any(got.converged[far])
+        assert np.allclose(got.values[~far], _logcosh_star(Y[~far]),
+                           rtol=1e-12, atol=1e-15)
+        for i in np.flatnonzero(far)[:20]:
+            ray = got[i].escaping_ray
+            axes = np.where(out[i], np.sign(Y[i]), 0.0)
+            assert np.allclose(ray, axes / np.linalg.norm(axes))
+            # the objective grows along the ray: (ray, y) > |ray|_1
+            assert ray @ Y[i] > np.sum(np.abs(ray))
+
+    def test_power_near_one_is_finite(self):
+        # p = 1.01 at y = 3: the maximizer (3 / 1.01)^100 is about 5.6e47,
+        # past the grid's 60 doublings
+        Y = np.array([[0.5], [1.0], [3.0]])
+        got = ConjugateEvaluator(make_power(1.01, 1.0, 1)).values(Y)
+        assert np.all(got.converged) and not np.any(got.diverged)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            p = Decimal(1.01)           # the double nearest 1.01
+            for i, y in enumerate(Y[:, 0]):
+                closed = (Decimal("0.01")
+                          * (Decimal(y) / Decimal("1.01")) ** 101)
+                assert abs(Decimal(got.values[i]) - closed) <= (
+                    closed * Decimal("1e-12"))
+                # phi* of the phi evaluated, whose p is 8.9e-18 above 1.01
+                exact = (p - 1) * (Decimal(y) / p) ** (p / (p - 1))
+                assert Decimal(got.values[i] - got.slack[i]) <= exact
+                assert abs(Decimal(got.values[i]) - exact) <= Decimal(
+                    got.slack[i])
+
+    @pytest.mark.parametrize("name", ["logcosh", "quadratic"])
+    def test_value_minus_slack_is_a_lower_bound(self, name):
+        # at the maximizer itself, the rounded objective may land a few ulp
+        # above the supremum; value - slack may not
+        rng = np.random.default_rng(26)
+        if name == "logcosh":
+            phi, Y = make_logcosh(2), rng.uniform(-0.95, 0.95, (1000, 2))
+            exact = [_decimal_logcosh_star(y) for y in Y]
+        else:
+            B = _B_CORR[2]
+            phi, Y = make_quadratic(B), rng.standard_normal((1000, 2)) * 3.0
+            exact = [_decimal_quadratic_star(B, y) for y in Y]
+        got = ConjugateEvaluator(phi).values(Y)
+        assert np.all(got.converged)
+        for v, s, e in zip(got.values, got.slack, exact):
+            assert Decimal(v - s) <= e
+            assert abs(Decimal(v) - e) <= Decimal(s)
+
+    def test_exact_rows_cost_two_objective_calls(self, monkeypatch):
+        # the start's value is bb_ascent's first evaluation, not a call of
+        # its own
+        calls = []
+        inner = ConjugateEvaluator._objective
+
+        def counted(self, Y, X):
+            calls.append(Y.shape[0])
+            return inner(self, Y, X)
+
+        monkeypatch.setattr(ConjugateEvaluator, "_objective", counted)
+        Y = np.random.default_rng(3).standard_normal((50, 2))
+        got = ConjugateEvaluator(make_quadratic(_BQ)).values(Y)
+        assert calls == [50, 50] and np.all(got.converged)
+        # a warm row of a source without grad_inverse costs two as well
+        calls.clear()
+        phi = _without_grad_inverse(make_quadratic(_BQ))
+        ConjugateEvaluator(phi).values(Y, x0=got.argmax)
+        assert calls == [50, 50]
+
+    def test_warm_rows_ignore_x0(self):
+        ev = ConjugateEvaluator(make_logcosh(2))
+        Y = np.array([[0.3, -0.5], [1.5, 0.2], [0.9, 0.1]])
+        cold = ev.values(Y)
+        warm = ev.values(Y, x0=np.full((3, 2), 7.0))
+        for a, b in zip((cold.values, cold.argmax, cold.slack, cold.diverged,
+                         cold.converged),
+                        (warm.values, warm.argmax, warm.slack, warm.diverged,
+                         warm.converged)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("phi, Y", [
+        (make_logcosh(1), [[1.0], [-1.0], [0.5]]),
+        (make_power(1.01, 1.0, 1), [[1e4], [2.0]]),
+        (make_quadratic(np.eye(2)), [[1e200, 1e200], [1.0, 2.0]]),
+    ], ids=["logcosh_at_one", "power_overflow", "quadratic_huge"])
+    def test_unresolved_seeds_take_the_other_path(self, phi, Y):
+        # a non-finite seed (no maximizer, or an overflow) or a seed whose
+        # objective is not finite is solved as without grad_inverse
+        Y = np.array(Y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = ConjugateEvaluator(phi).values(Y)
+            want = ConjugateEvaluator(_without_grad_inverse(phi)).values(Y)
+        assert np.array_equal(got.values[0], want.values[0])
+        assert np.array_equal(got.argmax[0], want.argmax[0])
+        assert got.slack[0] == want.slack[0]
+        assert got.converged[0] == want.converged[0]
 
 
 def _sequential_pattern_search(f, x, v, cell, project, cap):
@@ -666,8 +848,10 @@ def _ball_conjugates():
 # name: a run that calls pattern_search
 _ORACLE_CASES = {
     "phi_bar_quadratic_d2": _phi_bar_conjugates,
+    # the quadratic without its gradient, which bb_ascent would polish
     "log_reparam_ridge": lambda: log_reparam_conjugate(
-        make_quadratic([[1.0, 0.5], [0.5, 1.0]]), [1.0, 8.0]),
+        make_custom(2, make_quadratic([[1.0, 0.5], [0.5, 1.0]]).value_ext),
+        [1.0, 8.0]),
     "bounded_projected": _ball_conjugates,
 }
 
@@ -1213,6 +1397,27 @@ class TestLogReparamConjugate:
         got = log_reparam_conjugate(make_power(4.0, 1.0, 2), [k, k])
         want = 0.5 * k * math.log(k / 8.0) - 0.5 * k
         assert got == pytest.approx(want, rel=1e-10)
+
+    def test_ridge_matches_newton(self, monkeypatch):
+        # the non-separable ridge of B = [[1, .5], [.5, 1]] at r = (1, 8):
+        # bb_ascent polishes the grid winner to a Newton solve of
+        # r = e^mu * B e^mu, where a coordinate search stopped 6.7e-11 low
+        def no_pattern_search(*args):
+            raise AssertionError("pattern_search called")
+
+        monkeypatch.setattr(conjugate_module, "pattern_search",
+                            no_pattern_search)
+        B, r = _BQ, np.array([1.0, 8.0])
+        got = log_reparam_conjugate(make_quadratic(B), r)
+        mu = 0.5 * np.log(r)
+        for _ in range(40):
+            lam = np.exp(mu)
+            Bl = B @ lam
+            hess = -(np.diag(lam * Bl) + np.outer(lam, lam) * B)
+            mu = mu - np.linalg.solve(hess, r - lam * Bl)
+        lam = np.exp(mu)
+        want = r @ mu - 0.5 * lam @ B @ lam
+        assert got == pytest.approx(want, rel=1e-14)
 
     def test_bounded_support_stays_finite(self):
         phi = make_bounded_support(1.0, 1.0)

@@ -143,6 +143,69 @@ class TestRowsIndependentOfBatch:
             assert np.array_equal(phi.grad(X[i:i + 1])[0], grads[i])
 
 
+def _nu_sqrt(z):
+    return np.sqrt(1.0 + np.asarray(z)) - 1.0
+
+
+def _nu_sqrt_prime(z):
+    return 0.5 / np.sqrt(1.0 + np.asarray(z))
+
+
+class TestGradInverse:
+    """grad_inverse(Y) returns the points where the gradient is Y."""
+
+    @pytest.mark.parametrize("phi, span", [
+        (make_quadratic([[1.5, 0.3], [0.3, 1.0]]), 5.0),
+        (make_power(1.5, 2.0, 2), 5.0),
+        (make_power(4.0, 1.0, 3), 5.0),
+        (make_logcosh(3, scale=2.0), 1.9),
+        (make_bounded_support(2.0, 0.5), 50.0),
+        (make_radial(lambda z: np.asarray(z) ** 3, [[1.0, 0.2], [0.2, 1.0]],
+                     nu_prime=lambda z: 3.0 * np.asarray(z) ** 2), 5.0),
+        (make_radial(_nu_sqrt, [[2.0]], nu_prime=_nu_sqrt_prime), 0.7),
+    ], ids=["quadratic", "power1.5", "power4", "logcosh", "bounded",
+            "radial_pow3", "radial_sqrt"])
+    def test_gradient_round_trip(self, phi, span):
+        rng = np.random.default_rng(3)
+        Y = rng.uniform(-span, span, (200, phi.dimension))
+        Y[0] = 0.0
+        X, diverged = phi.grad_inverse(Y)
+        assert not np.any(diverged)
+        assert np.array_equal(X[0], np.zeros(phi.dimension))
+        assert np.allclose(phi.grad(X), Y, rtol=1e-9, atol=1e-12)
+        for i in (1, 7):
+            alone = phi.grad_inverse(Y[i:i + 1])[0]
+            assert np.array_equal(alone[0], X[i])
+
+    def test_logcosh_flags_rows_past_the_scale(self):
+        phi = make_logcosh(3, scale=0.5)
+        Y = np.array([[0.1, -0.7, 0.2], [0.4, 0.2, -0.3], [0.6, 0.0, -0.9],
+                      [0.5, 0.0, 0.0]])
+        X, diverged = phi.grad_inverse(Y)
+        assert list(diverged) == [True, False, True, False]
+        assert np.array_equal(X[0], [0.0, -1.0, 0.0])
+        assert np.array_equal(X[2], [1.0, 0.0, -1.0])
+        assert np.all(np.isfinite(X[1]))
+        # |y_j| = scale: a finite supremum with no maximizer
+        assert X[3, 0] == math.inf
+
+    def test_radial_without_a_root_is_not_finite(self):
+        # nu(z) = sqrt(1 + z) - 1 grows like sqrt(z): 4 q nu'(q)^2 < 1, so
+        # (Q^-1 y, y) >= 1 has no root
+        phi = make_radial(_nu_sqrt, [[2.0]], nu_prime=_nu_sqrt_prime)
+        X, diverged = phi.grad_inverse(np.array([[0.5], [3.0]]))
+        assert np.isfinite(X[0, 0]) and not np.isfinite(X[1, 0])
+        assert not np.any(diverged)
+
+    def test_only_declared(self):
+        phi = make_custom(1, lambda x: np.asarray(x)[..., 0] ** 2)
+        assert not phi.has_grad_inverse
+        assert not make_radial(lambda z: np.asarray(z) ** 2,
+                               [[1.0]]).has_grad_inverse
+        with pytest.raises(ParameterError):
+            phi.grad_inverse([[1.0]])
+
+
 class TestStructuralInvariants:
     @pytest.mark.parametrize("phi_factory", [
         lambda: make_quadratic(np.array([[2.0, 0.5], [0.5, 1.0]])),
