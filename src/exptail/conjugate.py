@@ -14,9 +14,10 @@ still grows, and a row that grows through every doubling is diverged,
 gradient-less searches serve kinked sources such as a tabulated natural
 function or the envelope phi-bar, where they land closer to the vertex
 maximum than gradient ascent. Both first evaluate x + cell and x - cell
-along an axis, for every running row, in one call of the source; the line
-search then takes one point per running row and call, about a quarter of
-the pattern search's calls. Every search stops each row on its own, so a
+along an axis, for every running row, in one call of the source. The line
+search then runs each row's Brent search in Python floats, in rounds of one
+call holding the next point of every running row, about a quarter of the
+pattern search's calls. Every search stops each row on its own, so a
 row's value does not depend on the other rows of its batch as long as the
 source evaluates each row alone. The same searches serve the biconjugate
 check; the log-reparameterized conjugate behind the moment norm polishes a
@@ -525,131 +526,119 @@ def line_search(f, x, v, cell, project, cap):
     """Bracketed Brent search, one maximization per row of the (m, 1) ``x``.
 
     The arguments and the return value are those of ``pattern_search``. The
-    first call of ``f`` holds each row's points x + cell and x - cell,
-    stacked as in ``pattern_search``. A row whose + point gains, or else
-    whose - point gains, walks on that way while it gains, each step 1.618x
-    the last (at most ``cap``, then projected); a step that ``project`` does
-    not move cannot gain, so it ends the walk at the support edge. Brent's
-    parabolic and golden-section steps (R. P. Brent, Algorithms for
+    search runs in rounds, each one call of ``f``. The first holds each
+    row's points x + cell and x - cell, stacked as in ``pattern_search``;
+    each later round holds the next point of every running row, in row
+    order. A row whose + point gains, or else whose - point gains, walks on
+    that way while it gains, each step 1.618x the last (at most ``cap``,
+    then projected, one ``project`` call a round); a step that ``project``
+    does not move cannot gain, so it ends the walk at the support edge.
+    Brent's parabolic and golden-section steps (R. P. Brent, Algorithms for
     Minimization without Derivatives, 1973, ch. 5) then shrink the row's
     bracket [a, b] until |x - (a + b) / 2| <= 2 tol - (b - a) / 2, with
-    tol = 1e-7 (cell[i] + 1e-12), or 4 spacings of x where that is larger,
-    and the returned step is (b - a) / 2. Each later call holds one point
-    per running row. A row that takes ``_WALK_STEPS`` walk steps or
+    tol = 1e-7 (cell[i] + 1e-12), or 4 ulp of x where that is larger, and
+    the returned step is (b - a) / 2. Each row is a ``_brent`` generator in
+    Python floats. A row that takes ``_WALK_STEPS`` walk steps or
     ``_BRENT_STEPS`` Brent steps stops unconverged. The returned point is
     the best one evaluated, so its objective is never below ``v[i]``.
     """
     m = x.shape[0]
-    tol = 1e-7 * (cell + 1e-12)
-    rows = np.arange(m)
     ends = project(np.concatenate([x + cell[:, None], x - cell[:, None]]))
-    ends = ends[:, 0]
-    fends = f(np.concatenate([rows, rows]), ends[:, None])
-    plus, fplus, minus, fminus = ends[:m], fends[:m], ends[m:], fends[m:]
-    up = fplus > v
-    down = ~up & (fminus > v)
-    # the best point x, Brent's w (second best) and z (the previous w), the
-    # bracket [a, b] and Brent's last two steps d and e
-    bx = np.where(up, plus, np.where(down, minus, x[:, 0]))
-    fx = np.where(up, fplus, np.where(down, fminus, v))
-    a, b, w, fw, z, fz, d, e = (np.empty(m) for _ in range(8))
-    # a walking row's point behind the best, its direction and next step
-    prev, fprev = x[:, 0].copy(), v.copy()
-    sgn = np.where(up, 1.0, -1.0)
-    step = cell * _GOLD
-    walk = up | down
-    brent = ~walk
-    n_steps = np.zeros(m, dtype=np.int64)
-    half = np.zeros(m)
-    converged = np.zeros(m, dtype=bool)
-
-    def bracket(i, u, fu, t, ft):
-        # rows i start Brent's loop on the bracket [u, t] around x, with
-        # the better end as w, and a first step that may be parabolic
-        a[i], b[i] = np.minimum(u, t), np.maximum(u, t)
-        hi = ft > fu
-        w[i], fw[i] = np.where(hi, t, u), np.where(hi, ft, fu)
-        z[i], fz[i] = np.where(hi, u, t), np.where(hi, fu, ft)
-        d[i] = e[i] = b[i] - a[i]
-        n_steps[i] = 0
-
-    i = np.flatnonzero(brent)
-    bracket(i, minus[i], fminus[i], plus[i], fplus[i])
+    fends = f(np.concatenate([np.arange(m)] * 2), ends)
+    start = zip(x[:, 0].tolist(), v.tolist(), ends[:m, 0].tolist(),
+                fends[:m].tolist(), ends[m:, 0].tolist(), fends[m:].tolist(),
+                cell.tolist())
+    runs = [_brent(*row, float(cap)) for row in start]
+    out, rows, sent = [None] * m, range(m), [None] * m
     while True:
-        wk = np.flatnonzero(walk)
-        c = project((bx[wk] + sgn[wk] * np.minimum(step[wk], cap))[:, None])
-        c = c[:, 0]
-        br = np.flatnonzero(brent)
-        A, B, xb = a[br], b[br], bx[br]
-        # at most 4 spacings of x, so that steps of t1 move x, far out too
-        t1 = np.maximum(tol[br], 4.0 * np.spacing(np.abs(xb)))
-        mid = 0.5 * (A + B)
-        stop = np.abs(xb - mid) <= 2.0 * t1 - 0.5 * (B - A)
-        capped = ~stop & (n_steps[br] >= _BRENT_STEPS)
-        i = br[stop | capped]
-        half[i] = 0.5 * (b[i] - a[i])
-        converged[br[stop]] = True
-        brent[i] = False
-        go = ~(stop | capped)
-        br, A, B, xb, t1, mid = (s[go] for s in (br, A, B, xb, t1, mid))
-        if wk.size + br.size == 0:
+        step = []               # (row, point, walk step) of a round
+        for i, s in zip(rows, sent):
+            try:
+                step.append((i, *runs[i].send(s)))
+            except StopIteration as stop:
+                out[i] = stop.value
+        if not step:
             break
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # the parabola through x, w and z; -inf, NaN and 0/0 fail every
-            # test below, which falls back to a golden-section step
-            r = (xb - w[br]) * (fx[br] - fz[br])
-            q = (xb - z[br]) * (fx[br] - fw[br])
-            p = (xb - z[br]) * q - (xb - w[br]) * r
-            q = 2.0 * (q - r)
-            p = np.where(q > 0.0, -p, p)
-            q = np.abs(q)
-            para = ((np.abs(e[br]) > t1)
-                    & (np.abs(p) < np.abs(0.5 * q * e[br]))
-                    & (p > q * (A - xb)) & (p < q * (B - xb)))
-            dp = p / q
-        gold = np.where(xb >= mid, A - xb, B - xb)
-        e[br] = np.where(para, d[br], gold)
-        dd = np.where(para, dp, _CGOLD * gold)
-        u = xb + dd
-        near = para & ((u - A < 2.0 * t1) | (B - u < 2.0 * t1))
-        dd = np.where(near, np.copysign(t1, mid - xb), dd)
-        dd = np.where(np.abs(dd) >= t1, dd, np.copysign(t1, dd))
-        d[br] = dd
-        u = xb + dd
-        vals = f(np.concatenate([wk, br]), np.concatenate([c, u])[:, None])
-        fc, fu = vals[:wk.size], vals[wk.size:]
-        # a walk step that gains moves on; one that does not (such as a
-        # step that project returns to the support edge) closes the
-        # bracket on the point behind the best
-        gain = fc > fx[wk]
-        i = wk[gain]
-        prev[i], fprev[i] = bx[i], fx[i]
-        bx[i], fx[i] = c[gain], fc[gain]
-        step[i] *= _GOLD
-        n_steps[i] += 1
-        i = wk[~gain]
-        walk[i], brent[i] = False, True
-        bracket(i, prev[i], fprev[i], c[~gain], fc[~gain])
-        i = wk[gain][n_steps[wk[gain]] >= _WALK_STEPS]
-        walk[i] = False
-        half[i] = step[i]
+        rows, t, walk = zip(*step)
+        t = np.array(t)
+        if any(walk):
+            k = np.flatnonzero(walk)
+            t[k] = project(t[k, None])[:, 0]
+        sent = list(zip(t.tolist(), f(np.array(rows), t[:, None]).tolist()))
+    bx, fx, half, converged = zip(*out) if m else ((),) * 4
+    return (np.array(bx, dtype=float)[:, None], np.array(fx, dtype=float),
+            np.array(half, dtype=float), np.array(converged, dtype=bool))
+
+
+def _brent(x, fx, plus, fplus, minus, fminus, cell, cap):
+    # one row of line_search in Python floats, from its start x and its
+    # first points x + cell and x - cell: yields its next point and whether
+    # that is a walk step, to be projected, and is sent that point as
+    # evaluated and its objective; returns the best point, its objective,
+    # the last half-bracket (or walk step) and whether the row converged
+    tol = 1e-7 * (cell + 1e-12)
+    lo, hi = (minus, fminus), (plus, fplus)
+    if fplus > fx or fminus > fx:
+        sgn = 1.0 if fplus > fx else -1.0
+        behind = (x, fx)
+        x, fx = hi if sgn > 0.0 else lo
+        step = cell * _GOLD
+        for _ in range(_WALK_STEPS):
+            c, fc = yield x + sgn * min(step, cap), True
+            # a step that does not gain (such as one that project returns
+            # to the support edge) closes the bracket on the point behind
+            if not fc > fx:
+                break
+            behind, (x, fx) = (x, fx), (c, fc)
+            step *= _GOLD
+        else:
+            return x, fx, step, False
+        lo, hi = behind, (c, fc)
+    # the bracket [a, b] around x, Brent's w (second best) and z (the
+    # previous w), and his last two steps d and e
+    (u, fu), (t, ft) = lo, hi
+    a, b = min(u, t), max(u, t)
+    (w, fw), (z, fz) = (hi, lo) if ft > fu else (lo, hi)
+    d = e = b - a
+    for n in range(_BRENT_STEPS + 1):
+        # at most 4 ulp of x, so that steps of t1 move x, far out too
+        t1 = max(tol, 4.0 * math.ulp(abs(x)))
+        mid = 0.5 * (a + b)
+        stop = abs(x - mid) <= 2.0 * t1 - 0.5 * (b - a)
+        if stop or n == _BRENT_STEPS:
+            return x, fx, 0.5 * (b - a), stop
+        # the parabola through x, w and z; inf and NaN fail every test
+        # below, which falls back to a golden-section step
+        r = (x - w) * (fx - fz)
+        q = (x - z) * (fx - fw)
+        p = (x - z) * q - (x - w) * r
+        q = 2.0 * (q - r)
+        if q > 0.0:
+            p = -p
+        q = abs(q)
+        if (abs(e) > t1 and abs(p) < abs(0.5 * q * e)
+                and p > q * (a - x) and p < q * (b - x)):
+            e, d = d, p / q
+            u = x + d
+            if u - a < 2.0 * t1 or b - u < 2.0 * t1:
+                d = math.copysign(t1, mid - x)
+        else:
+            e = a - x if x >= mid else b - x
+            d = _CGOLD * e
+        if abs(d) < t1:
+            d = math.copysign(t1, d)
+        u = x + d
+        _, fu = yield u, False
         # Brent's update of the bracket and of x, w and z
-        gain = fu >= fx[br]
-        right = u >= xb
-        a[br] = np.where(gain == right, np.where(gain, xb, u), A)
-        b[br] = np.where(gain != right, np.where(gain, xb, u), B)
-        second = ~gain & ((fu >= fw[br]) | (w[br] == xb))
-        third = ~gain & ~second & ((fu >= fz[br]) | (z[br] == xb)
-                                   | (z[br] == w[br]))
-        shift = gain | second
-        z[br] = np.where(shift, w[br], np.where(third, u, z[br]))
-        fz[br] = np.where(shift, fw[br], np.where(third, fu, fz[br]))
-        w[br] = np.where(gain, xb, np.where(second, u, w[br]))
-        fw[br] = np.where(gain, fx[br], np.where(second, fu, fw[br]))
-        bx[br] = np.where(gain, u, xb)
-        fx[br] = np.where(gain, fu, fx[br])
-        n_steps[br] += 1
-    return bx[:, None], fx, half, converged
+        if fu >= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            z, fz, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu >= fw or w == x:
+                z, fz, w, fw = w, fw, u, fu
+            elif fu >= fz or z == x or z == w:
+                z, fz = u, fu
 
 
 def conjugate(phi: YoungFunction, y) -> ConjugateValue:

@@ -351,10 +351,13 @@ def make_logcosh(d: int, scale: float = 1.0) -> YoungFunction:
 
     def gi(y):
         # artanh(y_j / s) / s; a row with some |y_j| > s is diverged along
-        # those axes, and one with |y_j| = s has no maximizer (x_j = inf)
+        # those axes. Where |y_j| / s rounds to 1 there is no maximizer:
+        # x_j = sign(y_j) 20 / s, where tanh rounds to 1, is within an ulp
+        # of the supremum
         out = np.abs(y) > scale
         with np.errstate(divide="ignore", invalid="ignore"):
             x = np.arctanh(y / scale) / scale
+        x = np.where(np.isinf(x), np.sign(y) * 20.0 / scale, x)
         diverged = row_max_abs(y) > scale
         x[diverged] = np.where(out[diverged], np.sign(y[diverged]), 0.0)
         return x, diverged

@@ -632,13 +632,13 @@ class TestSeededColdPath:
 
 
 def _decimal_logcosh_star(y):
-    """(sum_j log cosh x_j)*(y) at 40 digits, the double y taken exactly."""
+    """(sum_j log cosh x_j)*(y) at 40 digits, the double y taken exactly, on
+    |y_j| <= 1 (0 log 0 = 0)."""
     with localcontext() as ctx:
         ctx.prec = 40
         one, total = Decimal(1), Decimal(0)
         for yj in map(Decimal, y):
-            up, down = one + yj, one - yj
-            total += up * up.ln() + down * down.ln()
+            total += sum(t * t.ln() for t in (one + yj, one - yj) if t)
         return total / 2
 
 
@@ -783,11 +783,30 @@ class TestExactSeeds:
                          warm.converged)):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("Y", [
+        [[1.0], [-1.0], [0.5]],
+        [[1.0] + [0.5] * 7, [-1.0, 1.0] + [0.3] * 6, [1.0] * 8],
+    ], ids=["d1", "d8"])
+    def test_logcosh_rows_at_the_scale_are_seeded(self, Y, monkeypatch):
+        # |y_j| = s has no maximizer; x_j = 20 sign(y_j) / s has a zero
+        # gradient in float64 and is less than an ulp below the supremum,
+        # whose term for that axis is log 2
+        gridded = _count_grid_rows(monkeypatch)
+        Y = np.array(Y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = ConjugateEvaluator(make_logcosh(Y.shape[1])).values(Y)
+        assert sum(gridded) == 0
+        assert np.all(got.converged) and not np.any(got.diverged)
+        for v, s, y in zip(got.values, got.slack, Y):
+            exact = _decimal_logcosh_star(y)
+            assert Decimal(v - s) <= exact
+            assert abs(Decimal(v) - exact) <= Decimal(s)
+
     @pytest.mark.parametrize("phi, Y", [
-        (make_logcosh(1), [[1.0], [-1.0], [0.5]]),
         (make_power(1.01, 1.0, 1), [[1e4], [2.0]]),
         (make_quadratic(np.eye(2)), [[1e200, 1e200], [1.0, 2.0]]),
-    ], ids=["logcosh_at_one", "power_overflow", "quadratic_huge"])
+    ], ids=["power_overflow", "quadratic_huge"])
     def test_unresolved_seeds_take_the_other_path(self, phi, Y):
         # a non-finite seed (no maximizer, or an overflow) or a seed whose
         # objective is not finite is solved as without grad_inverse
@@ -1052,14 +1071,17 @@ def _scalar_brent(f, x, v, cell, project, cap):
     return out
 
 
-def _envelope_conjugates(p, scale):
+def _envelope_evaluator(p, scale):
     # phi-bar of a Weibull law as the envelope workload builds it
     dist = SymmetricWeibull(p, scale, 1)
     mgf = dist.mgf_log(lam_max=64.0)
     phi = make_custom(1, lambda x: mgf(np.atleast_2d(x)),
                       hessian_at_origin=[[dist.coordinate_variance()]])
-    ev = ConjugateEvaluator(phi_bar_function(phi, n_max=64))
-    ev.values(np.array([[2.0], [4.0], [6.0]]))
+    return ConjugateEvaluator(phi_bar_function(phi, n_max=64))
+
+
+def _envelope_conjugates(p, scale):
+    _envelope_evaluator(p, scale).values(np.array([[2.0], [4.0], [6.0]]))
 
 
 def _tabulated_conjugates():
@@ -1099,6 +1121,29 @@ def _line_rows():
     cell = np.array([0.5, 1e-3, 0.5, 0.25, 0.1])
     x = np.zeros((5, 1))
     return objective, x, objective(np.arange(5))(np.arange(5), x), cell
+
+
+def _recorded_line_searches(run, monkeypatch):
+    """The arguments of each ``line_search`` call that ``run()`` makes."""
+    searches = []
+    inner = conjugate_module.line_search
+
+    def recorded(f, x, v, cell, project, cap):
+        searches.append((f, x.copy(), v.copy(), cell.copy(), project, cap))
+        return inner(f, x, v, cell, project, cap)
+
+    monkeypatch.setattr(conjugate_module, "line_search", recorded)
+    run()
+    monkeypatch.undo()
+    assert searches
+    return searches
+
+
+def _per_row_counted(f, count):
+    def g(rows, X):
+        np.add.at(count, rows, 1)
+        return f(rows, X)
+    return g
 
 
 class TestLineSearch:
@@ -1261,6 +1306,53 @@ class TestLineSearch:
         assert np.all(converged)
         assert bx[0, 0] == pytest.approx(0.9, abs=1e-6)
         assert fx[1] == 0.0
+
+    @pytest.mark.parametrize("case", sorted(_BRENT_CASES) + ["line_rows"])
+    def test_no_extra_evaluations(self, case, monkeypatch):
+        # each row evaluates as many points as the oracle's
+        if case == "line_rows":
+            objective, x, v, cell = _line_rows()
+            searches = [(objective(np.arange(5)), x, v, cell, lambda X: X,
+                         math.inf)]
+        else:
+            searches = _recorded_line_searches(_BRENT_CASES[case],
+                                               monkeypatch)
+        for f, x, v, cell, project, cap in searches:
+            counts = []
+            for search in (line_search, _scalar_brent):
+                count = np.zeros(x.shape[0], dtype=np.int64)
+                search(_per_row_counted(f, count), x, v, cell, project, cap)
+                counts.append(count)
+            assert np.all(counts[0] > 2)
+            assert np.array_equal(*counts)
+
+    def test_larger_batch_of_phi_bar_rows(self, monkeypatch):
+        # 32 warm rows of the envelope's p = 1.5 law: the rows started at
+        # their cold maximizer bracket at once, the others walk first
+        ev = _envelope_evaluator(1.5, 0.2)
+        Y = np.linspace(-8.0, 8.0, 32)[:, None]
+        x0 = ev.values(Y).argmax
+        x0[1::2] += np.linspace(-3.0, 3.0, 16)[:, None]
+        searches = _recorded_line_searches(lambda: ev.values(Y, x0=x0),
+                                           monkeypatch)
+        assert len(searches) == 1
+        f, x, v, cell, project, cap = searches[0]
+        assert x.shape[0] == 32
+        ends = project(np.concatenate([x + cell[:, None], x - cell[:, None]]))
+        fends = f(np.tile(np.arange(32), 2), ends)
+        walks = (fends[:32] > v) | (fends[32:] > v)
+        assert 8 <= np.count_nonzero(walks) <= 24
+        got = line_search(f, x, v, cell, project, cap)
+        want = _scalar_brent(f, x, v, cell, project, cap)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        batch = ev.values(Y, x0=x0)
+        assert np.all(batch.converged)
+        for i in range(32):
+            alone = ev.values(Y[i:i + 1], x0=x0[i:i + 1])
+            for field in ("values", "argmax", "slack", "converged"):
+                assert np.array_equal(getattr(batch, field)[i],
+                                      getattr(alone, field)[0])
 
 
 class TestLargeRows:

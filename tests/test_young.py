@@ -186,8 +186,10 @@ class TestGradInverse:
         assert np.array_equal(X[0], [0.0, -1.0, 0.0])
         assert np.array_equal(X[2], [1.0, 0.0, -1.0])
         assert np.all(np.isfinite(X[1]))
-        # |y_j| = scale: a finite supremum with no maximizer
-        assert X[3, 0] == math.inf
+        # |y_j| = scale: a finite supremum with no maximizer; x_j = 20 /
+        # scale, where the gradient rounds to y_j
+        assert X[3, 0] == 40.0
+        assert np.array_equal(phi.grad(X[3:]), Y[3:])
 
     def test_radial_without_a_root_is_not_finite(self):
         # nu(z) = sqrt(1 + z) - 1 grows like sqrt(z): 4 q nu'(q)^2 < 1, so
