@@ -7,9 +7,8 @@ vectors and normalized sums, and certifies every bound against Monte
 Carlo tail oracles.
 """
 
-from .vectors import (DIMENSION_CAP, LogValue, coordinatewise_product,
-                      enumerate_sign_vectors, log_mean_exp, log_mean_exp_se,
-                      octant_contains, octants_containing, sphere_directions)
+from .vectors import (DIMENSION_CAP, enumerate_sign_vectors, log_mean_exp,
+                      log_mean_exp_se, sphere_directions)
 from .young import (CheckResult, SupportRegion, YoungFunction,
                     check_absolutely_even, check_delta2_seminorm,
                     check_lambda2, make_bounded_support, make_custom,
@@ -38,7 +37,7 @@ from .characterize import (CONSISTENT, INCONCLUSIVE, VIOLATED, Verdict,
                            decomposition_check, mixed_forward_difference)
 from .errors import (ConfigError, DimensionCapError, ExptailError,
                      InsufficientProbesError, MissingCertificateError,
-                     OutsideSupportError, ParameterError, ShapeMismatchError,
+                     OutsideSupportError, ParameterError,
                      UnreachableLevelError)
 
 __version__ = "0.1.0"

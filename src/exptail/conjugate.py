@@ -27,19 +27,19 @@ source has a gradient, else ``pattern_search``.
 its tolerance) after one probe of length cell along the gradient, when that
 probe does not gain: the concave objective then curves enough that, in the
 quadratic model, the start is within a quarter of the row's slack of the
-maximum, so an exact warm start costs two objective calls. Reported values
+maximum, so an exact seed costs two objective calls. Reported values
 are the objective at an evaluated point (x = 0 is always a candidate, so
 phi* >= 0), rounded in float64; value - slack is a lower bound of the
 supremum.
 
 A source with ``grad_inverse`` (every built-in family, and phi_n of one)
 starts each row at its exact maximizer x* = (grad phi)^-1(y), since
-grad phi* = (grad phi)^-1, in cold and warm calls alike; ``bb_ascent``
-confirms an exact seed in two objective calls, and the row's slack adds
-4 ulp(|x*| |y|), the objective's rounding at x*. A row the inverse flags
-diverged is +inf along the ray it returns. A row whose seed or whose
-objective there is not finite, or whose polish does not converge, takes
-the path of a source without ``grad_inverse``, below.
+grad phi* = (grad phi)^-1; ``bb_ascent`` confirms an exact seed in two
+objective calls, and the row's slack adds 4 ulp(|x*| |y|), the objective's
+rounding at x*. A row the inverse flags diverged is +inf along the ray it
+returns. A row whose seed or whose objective there is not finite, or whose
+polish does not converge, takes the path of a source without
+``grad_inverse``, below.
 
 On the whole space, a source with a gradient skips the grid for each such
 row whose crossing r is at most h / 2, h = 2^ceil(log2 2(1 + max|y_i|)):
@@ -49,12 +49,6 @@ crossing below h / 2, or whose polish does not converge is gridded, on its
 box from the same bisection. The cap keeps each seed where the rounding of
 the objective stays far below the polish tolerance (logcosh at y = 1
 "crosses" near 1e16 only by rounding).
-
-A warm-started call polishes those rows from the given points, except the
-rows whose ray does not cross phi within the grid's reach R = h 2^60
-(phi(r u) / r does not decrease for a convex phi with phi(0) = 0, so
-phi(R u) < |y| R rules out every crossing below R). Those rows, and every
-row whose polish did not converge, are re-solved through the grid stage.
 """
 from __future__ import annotations
 
@@ -183,7 +177,8 @@ class ConjugateEvaluator:
     (see the module docstring) that doubles at most ``_MAX_EXPANSIONS``
     times; then ``bb_ascent``, or, for a source without a gradient,
     ``line_search`` at d = 1 and ``pattern_search`` above, started with the
-    row's grid cell.
+    row's grid cell. A caller supplies no start: a custom source gets exact
+    seeds by passing ``grad_inverse`` to ``make_custom``.
     """
 
     def __init__(self, phi: YoungFunction):
@@ -195,22 +190,19 @@ class ConjugateEvaluator:
         Y = np.atleast_2d(np.asarray(y, dtype=float))
         return self.values(Y)[0]
 
-    def values(self, Y, x0=None) -> ConjugateBatch:
+    def values(self, Y) -> ConjugateBatch:
         """Batched phi* at the rows of Y, which must be finite.
 
-        A source with ``grad_inverse`` starts each row at its exact
-        maximizer, cold or warm, and a row it flags diverged is +inf. Every
-        other row is ray-seeded or gridded without ``x0`` (see the class
-        docstring); ``x0`` warm-starts its polish: row i starts at
-        ``x0[i]``, with no grid stage, and x = 0 stays a candidate. Only the
-        grid stage and ``grad_inverse`` detect divergence, and a polish
-        that stops on its step cap may sit far below the supremum, so a
-        warm row whose ray has no crossing within the grid's reach skips
-        the polish, and it and every warm or seeded row that did not
-        converge is re-solved through the grid stage within this call. For
-        a convex phi the objective is concave, so a converged row reaches
-        the maximum the grid stage and its polish reach, to within the
-        polish tolerance.
+        Each row starts in one of three ways: at its exact maximizer, for a
+        source with ``grad_inverse``; failing that, at its ray crossing, for
+        a source with a gradient; failing that, on the grid (see the class
+        docstring). x = 0 stays a candidate. Only the grid stage and
+        ``grad_inverse`` detect divergence, and a polish that stops on its
+        step cap may sit far below the supremum, so every seeded row that
+        did not converge is re-solved through the grid stage within this
+        call. For a convex phi the objective is concave, so a converged row
+        reaches the maximum the grid stage and its polish reach, to within
+        the polish tolerance.
 
         Each value is the objective at a point it was evaluated, rounded in
         float64: at an exact maximizer that can land a few ulp above the
@@ -241,34 +233,27 @@ class ConjugateEvaluator:
                 out.slack[rows] += 4.0 * np.spacing(xy)
             rest = np.flatnonzero(~diverged & ~out.converged)
         if rest.size:
-            _put(out, rest, self._search(
-                Y[rest], None if x0 is None else np.atleast_2d(
-                    np.asarray(x0, dtype=float))[rest]))
+            _put(out, rest, self._search(Y[rest]))
         return out
 
     # -- internals ----------------------------------------------------------
 
-    def _search(self, Y, x0):
-        # the rows without an exact seed: ray-seeded, warm or gridded
+    def _search(self, Y):
+        # the rows without an exact seed: a row whose ray crosses phi at
+        # r <= h / 2 starts at r y / 2|y|; the grid takes the other rows and
+        # each seeded row whose polish did not converge
         m, d = Y.shape
-        if x0 is None:
-            # seed the rows whose ray crosses phi at r <= h / 2 at r y/2|y|
-            h, r = self._first_box(Y)
-            start = np.isfinite(r) & self.phi.has_gradient
-            x = (0.5 * r[start])[:, None] * self._rays(Y[start])[2]
-            cell = _SEED_CELL * r[start]
-        else:
-            start = ~self._escapes(Y)
-            x = x0[start]
-            cell = np.full(x.shape[0], 1e-3)
+        h, r = self._first_box(Y)
+        start = np.isfinite(r) & self.phi.has_gradient
         out = _empty_batch(m, d)
         rows = _rows(start)
-        self._start(out, rows, Y[rows], x, cell)
+        self._start(out, rows, Y[rows],
+                    (0.5 * r[start])[:, None] * self._rays(Y[start])[2],
+                    _SEED_CELL * r[start])
         redo = np.flatnonzero(~out.converged)
         if redo.size:
-            box = h[redo] if x0 is None else self._first_box(Y[redo])[0]
             _put(out, redo, self._polish(Y[redo],
-                                         *self._grid_stage(Y[redo], box)))
+                                         *self._grid_stage(Y[redo], h[redo])))
         return out
 
     def _start(self, out, rows, Y, x, cell):
@@ -353,15 +338,6 @@ class ConjugateEvaluator:
 
         r = bisect_rows(ok, h * 2.0 ** -60, h / 2.0, 0.5, h / 2.0)[1]
         return np.minimum(h, 2.0 ** np.ceil(np.log2(2.0 * r))), r
-
-    def _escapes(self, Y):
-        # rows whose ray does not cross phi by R = h 2^_MAX_EXPANSIONS, the
-        # grid's reach: phi(r u) / r does not decrease for a convex phi with
-        # phi(0) = 0, so phi(R u) < |y| R means no crossing at all below R
-        h, n, u = self._rays(Y)
-        R = h * 2.0 ** _MAX_EXPANSIONS
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (n > 0.0) & (self.phi.value_ext(R[:, None] * u) < n * R)
 
     def _polish(self, Y, x, val, cell, diverged):
         # a diverged row is +inf whatever a polish does: it keeps its grid
@@ -662,8 +638,8 @@ def biconjugate_residual(phi: YoungFunction, probes) -> float:
     """max over probes of |phi**(lam) - phi(lam)|.
 
     Conjugates twice: the outer ascent over y runs ``bb_ascent`` on
-    (lam, y) - phi*(y), whose gradient is lam - argmax x(y), and each of its
-    inner solves is warm-started at the previous argmax. A small residual
+    (lam, y) - phi*(y), whose gradient is lam - argmax x(y), each inner
+    solve a call of ``ConjugateEvaluator.values``. A small residual
     certifies that the evaluator resolves this source function
     (Fenchel-Moreau: phi** = phi for closed convex phi).
     """
@@ -671,11 +647,9 @@ def biconjugate_residual(phi: YoungFunction, probes) -> float:
     lam = np.atleast_2d(np.asarray(probes, dtype=float))
     target = phi.value(lam)
     y = phi.grad(lam) if phi.has_gradient else _fd_grad(phi, lam)
-    x_warm = ev.values(y).argmax
 
     def f(rows, Y):
-        inner = ev.values(Y, x0=x_warm[rows])
-        x_warm[rows] = inner.argmax
+        inner = ev.values(Y)
         return (np.einsum("ij,ij->i", lam[rows], Y) - inner.values,
                 lam[rows] - inner.argmax)
 

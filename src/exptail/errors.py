@@ -9,10 +9,6 @@ class DimensionCapError(ExptailError, ValueError):
     """A 2^d enumeration was requested beyond the configured dimension cap."""
 
 
-class ShapeMismatchError(ExptailError, ValueError):
-    """Operand dimensions do not agree."""
-
-
 class ParameterError(ExptailError, ValueError):
     """A constructor or operation received an invalid parameter."""
 

@@ -261,14 +261,10 @@ class OrliczFunction:
         self.base = base
         self.evaluator = ConjugateEvaluator(base)
 
-    def values(self, U, x0=None, argmax=None) -> np.ndarray:
-        """N at the rows of U; ``x0`` warm-starts the conjugation, and
-        ``argmax``, if given, receives each row's maximizer."""
+    def values(self, U) -> np.ndarray:
+        """N at the rows of U, one ``ConjugateEvaluator.values`` call."""
         U = np.atleast_2d(np.asarray(U, dtype=float))
-        batch = self.evaluator.values(U, x0=x0)
-        if argmax is not None:
-            argmax[...] = batch.argmax
-        star = batch.values
+        star = self.evaluator.values(U).values
         with np.errstate(over="ignore"):
             return np.exp(star) - 1.0
 
@@ -284,15 +280,11 @@ def luxemburg_norm(s: SampleSet, N: OrliczFunction, rel_tol: float = 1e-4, *,
     optional deterministic subsample caps the per-iteration conjugation
     cost for large sample sets.
 
-    Each step warm-starts its conjugation at the last step's maximizers
-    scaled by c_prev / c, exact for a quadratic phi; a phi with
-    ``grad_inverse`` starts every row at its exact maximizer instead. Either
-    way ``bb_ascent`` stops a row that starts at a stationary point after
-    one probe that does not gain, so such a row costs two objective calls.
-    The first step, and a step after an infinite N value (a diverged row or
-    an overflow), run cold. The evaluator re-solves cold each warm row that
-    did not converge, so N stays a lower bound that reaches the cold
-    maximum.
+    Each step conjugates its rows afresh, and no step depends on another.
+    A phi with ``grad_inverse`` (every built-in family) starts each row at
+    its exact maximizer, where ``bb_ascent`` stops after one probe that
+    does not gain, so such a row costs two objective calls; the rows of
+    any other phi are ray-seeded or gridded.
     """
     data = s.data
     if subsample is not None and data.shape[0] > subsample:
@@ -301,18 +293,11 @@ def luxemburg_norm(s: SampleSet, N: OrliczFunction, rel_tol: float = 1e-4, *,
     if np.all(data == 0.0):
         return NormEstimate(0.0, (0.0, 0.0), plan)
 
-    argmax = np.empty_like(data, dtype=float)
-    warm_c = None                       # the c whose maximizers are in argmax
-
     def ok(c, rows):
-        nonlocal warm_c
         c = float(c[0])
         if c == 0.0:                    # the bracket's lower end, never solved
             return np.array([False])
-        x0 = None if warm_c is None else argmax * (warm_c / c)
-        vals = N.values(data / c, x0=x0, argmax=argmax)
-        warm_c = None if np.any(np.isinf(vals)) else c
-        mean = float(np.mean(vals))
+        mean = float(np.mean(N.values(data / c)))
         return np.array([math.isfinite(mean) and mean <= 1.0])
 
     lo, hi = (float(t[0]) for t in bisect_rows(

@@ -1,6 +1,6 @@
-"""Sign-vector combinatorics, octant geometry, log-space accumulation, and
-the numerical primitives every other module shares: a row-wise monotone
-bisection, box grids, and a stable log-cosh.
+"""Sign-vector enumeration, log-mean-exp, and the numerical primitives every
+other module shares: a row-wise monotone bisection, box grids, and a stable
+log-cosh.
 
 Everything here is a pure function of immutable inputs; no shared state.
 Sign vectors are plain float arrays with entries in {-1.0, +1.0}.
@@ -8,13 +8,12 @@ Sign vectors are plain float arrays with entries in {-1.0, +1.0}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionCapError, ShapeMismatchError
+from .errors import DimensionCapError
 
 #: Hard cap on dimensions that trigger 2^d enumerations.
 DIMENSION_CAP = 16
@@ -41,35 +40,6 @@ def enumerate_sign_vectors(d: int) -> np.ndarray:
     return 1.0 - 2.0 * bits.astype(float)
 
 
-def coordinatewise_product(eps, x) -> np.ndarray:
-    """Coordinatewise product eps (x) x; an involution in eps."""
-    eps = np.asarray(eps, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if eps.shape != x.shape[-eps.ndim:]:
-        raise ShapeMismatchError(f"shapes {eps.shape} and {x.shape} do not align")
-    return eps * x
-
-
-def octant_contains(eps, x) -> bool:
-    """Membership test for the closed octant Z(eps) = {x : eps_j x_j >= 0}."""
-    eps = np.asarray(eps, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if eps.shape != x.shape:
-        raise ShapeMismatchError(f"shapes {eps.shape} and {x.shape} do not align")
-    return bool(np.all(eps * x >= 0.0))
-
-
-def octants_containing(x) -> np.ndarray:
-    """Rows of all sign vectors whose octant contains ``x``.
-
-    A point with k zero coordinates lies in exactly 2^k octants.
-    """
-    x = np.asarray(x, dtype=float)
-    signs = enumerate_sign_vectors(x.shape[0])
-    mask = np.all(signs * x[None, :] >= 0.0, axis=1)
-    return signs[mask]
-
-
 def log_mean_exp(values) -> float:
     """log((1/n) sum exp(v_i)), stabilized by shifting with the array max.
 
@@ -94,43 +64,6 @@ def log_mean_exp_se(values) -> float:
     mean = float(np.mean(w))
     sd = float(np.std(w, ddof=1))
     return sd / (math.sqrt(v.size) * mean)
-
-
-@dataclass(frozen=True)
-class LogValue:
-    """A real number s * exp(m) stored as (m, s) to dodge overflow.
-
-    ``sign`` is -1, 0, or +1; zero is represented as (-inf, 0).
-    """
-
-    log_magnitude: float
-    sign: int = 1
-
-    @classmethod
-    def from_value(cls, x: float) -> "LogValue":
-        if x == 0.0:
-            return cls(-math.inf, 0)
-        return cls(math.log(abs(x)), 1 if x > 0 else -1)
-
-    def value(self) -> float:
-        """Convert back to a float; overflows saturate to +-inf."""
-        if self.sign == 0:
-            return 0.0
-        if self.log_magnitude > 709.0:
-            return math.inf * self.sign
-        return self.sign * math.exp(self.log_magnitude)
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        s = self.sign * other.sign
-        if s == 0:
-            return LogValue(-math.inf, 0)
-        return LogValue(self.log_magnitude + other.log_magnitude, s)
-
-    def scaled(self, power: float) -> "LogValue":
-        """|self|^power with the sign kept (sign must be nonnegative power use)."""
-        if self.sign == 0:
-            return self
-        return LogValue(self.log_magnitude * power, self.sign)
 
 
 def sphere_directions(d: int, count: int) -> np.ndarray:

@@ -38,7 +38,7 @@ def _logcosh_star(Y):
 
 def _without_grad_inverse(phi):
     """phi with its gradient but without ``grad_inverse``, so that its rows
-    take the ray-seeded, warm or gridded path."""
+    take the ray-seeded or gridded path."""
     return make_custom(phi.dimension, phi.value_ext, support=phi.support,
                        gradient=phi.grad,
                        hessian_at_origin=phi.hessian_at_origin)
@@ -311,17 +311,6 @@ class TestBatchIndependence:
 
 
 class TestWarmStart:
-    def test_warm_start_keeps_divergence(self):
-        # the warm polish alone climbs the rows with |y| > 1 for a while and
-        # stops at a finite value; those rows must be re-solved cold
-        ev = ConjugateEvaluator(make_logcosh(1))
-        Y = np.array([[0.5], [1.5], [-3.0]])
-        cold = ev.values(Y)
-        warm = ev.values(Y, x0=np.array([[0.4], [0.6], [-1.0]]))
-        assert list(warm.diverged) == [False, True, True]
-        assert list(warm.values[1:]) == [math.inf, math.inf]
-        assert warm.values[0] == pytest.approx(cold.values[0], rel=1e-12)
-
     def test_converged_flags(self):
         rng = np.random.default_rng(4)
         Y = rng.standard_normal((50, 2)) * 3.0
@@ -380,49 +369,13 @@ class TestDivergedRowsSkipPolish:
         assert np.all(np.isinf(batch.values))
 
 
-def _count_polished_rows(monkeypatch):
-    """The row count of each ``bb_ascent`` call, appended as it is made."""
-    polished = []
-    inner = conjugate_module.bb_ascent
-
-    def counted(f, x, *args):
-        polished.append(x.shape[0])
-        return inner(f, x, *args)
-
-    monkeypatch.setattr(conjugate_module, "bb_ascent", counted)
-    return polished
-
-
-class TestWarmScreen:
-    """A warm row whose ray has no crossing within the grid's reach skips
-    the warm polish and goes straight to the cold path."""
-
-    def test_escaping_rows_skip_the_warm_polish(self, monkeypatch):
-        polished = _count_polished_rows(monkeypatch)
-        ev = ConjugateEvaluator(make_logcosh(1))
-        Y = np.array([[0.5], [1.5], [-3.0]])
-        warm = ev.values(Y, x0=np.array([[0.4], [0.6], [-1.0]]))
-        assert polished == [1]
-        assert list(warm.diverged) == [False, True, True]
-        assert warm.values[0] == pytest.approx(_logcosh_star([[0.5]])[0],
-                                               rel=1e-12)
-
-    def test_rows_with_a_crossing_are_polished_warm(self, monkeypatch):
-        polished = _count_polished_rows(monkeypatch)
-        ev = ConjugateEvaluator(make_quadratic(_B2))
-        Y = np.random.default_rng(8).standard_normal((30, 2)) * 40.0
-        warm = ev.values(Y, x0=np.linalg.solve(_B2, Y.T).T * 0.9)
-        assert polished == [30]
-        assert np.all(warm.converged)
-
-
 _BQ = np.array([[1.0, 0.5], [0.5, 1.0]])
 
 
 def _quadratic_ascent(B, Y, x):
     """``bb_ascent`` on (x, y) - phi(x) for phi = 0.5 (B x, x), from ``x``
-    with the evaluator's warm settings; returns its result and the rows of
-    each objective call."""
+    with a first step of 1e-3; returns its result and the rows of each
+    objective call."""
     phi = make_quadratic(B)
     calls = []
 
@@ -487,13 +440,13 @@ class TestBBAscentStationaryStart:
         x0 = (y - 9e-10) / B
         closed = y * y / (2.0 * B)
         assert closed - (y * x0 - 0.5 * B * x0 * x0) > 1e-11
-        batch = ConjugateEvaluator(
-            _without_grad_inverse(make_quadratic([[B]]))).values(
-                [[y]], x0=[[x0]])
+        value, argmax, slack, converged = ConjugateEvaluator(
+            _without_grad_inverse(make_quadratic([[B]])))._polish_rows(
+                np.array([[y]]), np.array([[x0]]), None, np.full(1, 1e-3))
         assert len(calls) > 2
-        assert batch.converged[0]
-        assert closed - batch.slack[0] <= batch.values[0] <= closed
-        assert batch.argmax[0, 0] == pytest.approx(y / B, rel=1e-12)
+        assert converged[0]
+        assert closed - slack[0] <= value[0] <= closed
+        assert argmax[0, 0] == pytest.approx(y / B, rel=1e-12)
 
     def test_perturbed_start_stays_within_its_slack(self, monkeypatch):
         # the probe of length cell loses, so the row stops at its start,
@@ -504,12 +457,13 @@ class TestBBAscentStationaryStart:
         g = np.array([[6e-10, 6e-10]])
         x0 = np.linalg.solve(B, (Y - g).T).T
         closed = 0.5 * float(Y[0] @ np.linalg.solve(B, Y[0]))
-        batch = ConjugateEvaluator(
-            _without_grad_inverse(make_quadratic(B))).values(Y, x0=x0)
+        value, argmax, slack, converged = ConjugateEvaluator(
+            _without_grad_inverse(make_quadratic(B)))._polish_rows(
+                Y, x0, None, np.full(1, 1e-3))
         assert calls == [1, 1]
-        assert batch.converged[0]
-        assert np.array_equal(batch.argmax, x0)
-        assert closed - batch.slack[0] <= batch.values[0] < closed
+        assert converged[0]
+        assert np.array_equal(argmax, x0)
+        assert closed - slack[0] <= value[0] < closed
 
 
 #: 3-D matrices whose leading blocks give the d = 1, 2 and 3 sources
@@ -670,7 +624,7 @@ _B_CORR = {d: np.eye(d) + 0.3 * np.ones((d, d)) for d in (2, 4, 8, 16)}
 
 class TestExactSeeds:
     """A source with ``grad_inverse`` starts each row at its maximizer
-    (grad phi)^-1(y), cold or warm, and ``bb_ascent`` confirms it."""
+    (grad phi)^-1(y), and ``bb_ascent`` confirms it."""
 
     @pytest.mark.parametrize("d", [4, 8, 16])
     @pytest.mark.parametrize("name", ["quadratic", "power4", "logcosh"])
@@ -766,22 +720,6 @@ class TestExactSeeds:
         Y = np.random.default_rng(3).standard_normal((50, 2))
         got = ConjugateEvaluator(make_quadratic(_BQ)).values(Y)
         assert calls == [50, 50] and np.all(got.converged)
-        # a warm row of a source without grad_inverse costs two as well
-        calls.clear()
-        phi = _without_grad_inverse(make_quadratic(_BQ))
-        ConjugateEvaluator(phi).values(Y, x0=got.argmax)
-        assert calls == [50, 50]
-
-    def test_warm_rows_ignore_x0(self):
-        ev = ConjugateEvaluator(make_logcosh(2))
-        Y = np.array([[0.3, -0.5], [1.5, 0.2], [0.9, 0.1]])
-        cold = ev.values(Y)
-        warm = ev.values(Y, x0=np.full((3, 2), 7.0))
-        for a, b in zip((cold.values, cold.argmax, cold.slack, cold.diverged,
-                         cold.converged),
-                        (warm.values, warm.argmax, warm.slack, warm.diverged,
-                         warm.converged)):
-            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("Y", [
         [[1.0], [-1.0], [0.5]],
@@ -1327,14 +1265,16 @@ class TestLineSearch:
             assert np.array_equal(*counts)
 
     def test_larger_batch_of_phi_bar_rows(self, monkeypatch):
-        # 32 warm rows of the envelope's p = 1.5 law: the rows started at
-        # their cold maximizer bracket at once, the others walk first
+        # 32 rows of the envelope's p = 1.5 law polished from given starts:
+        # the rows started at their maximizer bracket at once, the others
+        # walk first
         ev = _envelope_evaluator(1.5, 0.2)
         Y = np.linspace(-8.0, 8.0, 32)[:, None]
         x0 = ev.values(Y).argmax
         x0[1::2] += np.linspace(-3.0, 3.0, 16)[:, None]
-        searches = _recorded_line_searches(lambda: ev.values(Y, x0=x0),
-                                           monkeypatch)
+        cell = np.full(32, 1e-3)
+        searches = _recorded_line_searches(
+            lambda: ev._polish_rows(Y, x0, None, cell), monkeypatch)
         assert len(searches) == 1
         f, x, v, cell, project, cap = searches[0]
         assert x.shape[0] == 32
@@ -1346,13 +1286,13 @@ class TestLineSearch:
         want = _scalar_brent(f, x, v, cell, project, cap)
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
-        batch = ev.values(Y, x0=x0)
-        assert np.all(batch.converged)
+        batch = ev._polish_rows(Y, x0, None, cell)
+        assert np.all(batch[3])
         for i in range(32):
-            alone = ev.values(Y[i:i + 1], x0=x0[i:i + 1])
-            for field in ("values", "argmax", "slack", "converged"):
-                assert np.array_equal(getattr(batch, field)[i],
-                                      getattr(alone, field)[0])
+            alone = ev._polish_rows(Y[i:i + 1], x0[i:i + 1], None,
+                                    cell[i:i + 1])
+            for part, lone in zip(batch, alone):
+                assert np.array_equal(part[i], lone[0])
 
 
 class TestLargeRows:

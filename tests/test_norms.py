@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gamma as gamma_fn
 
 import exptail.norms as norms_module
-from exptail.conjugate import log_reparam_conjugate
+from exptail.conjugate import ConjugateEvaluator, log_reparam_conjugate
 from exptail.empirical import (Gaussian, RademacherScaled, SymmetricWeibull,
                                natural_function, sample, vector_moment)
 from exptail.errors import MissingCertificateError, ParameterError
@@ -15,7 +15,7 @@ from exptail.norms import (OrliczFunction, bphi_norm, default_moment_grid,
                            psi_phi_even_moments, ray_probe_plan)
 from exptail.specs import distribution_from_spec, young_from_spec
 from exptail.vectors import bisect_rows
-from exptail.young import make_logcosh, make_quadratic
+from exptail.young import make_custom, make_logcosh, make_quadratic
 
 GAUSS_MGF_2D = lambda L: 0.5 * np.sum(np.atleast_2d(L) ** 2, axis=-1)
 
@@ -284,8 +284,7 @@ class TestLuxemburgWarmStart:
 
 # the scales a Luxemburg bisection conjugates at, in order, on the first
 # 300 draws of gaussian{Q=[[1]]} (seed 1), as the scalar doubling and
-# halving search before bisect_rows gave them; the warm start scales each
-# step's start by c_prev / c, so the order is part of the result
+# halving search before bisect_rows gave them
 _LUX_SCALES = {
     # every step below max |xi| = 3.5689 meets diverged rows
     "logcosh{d=1}": [
@@ -313,9 +312,9 @@ class TestLuxemburgScales:
         seen = []
         values = N.values
 
-        def recording(U, x0=None, argmax=None):
+        def recording(U):
             seen.append(np.array(U))
-            return values(U, x0=x0, argmax=argmax)
+            return values(U)
 
         N.values = recording
         est = luxemburg_norm(s, N)
@@ -324,6 +323,32 @@ class TestLuxemburgScales:
         for U, c in zip(seen, want):
             assert np.array_equal(U, s.data / c)
         assert est.bracket == (want[-1], est.value)
+
+
+class TestLuxemburgExactSeeds:
+    def test_equivalence_steps_stay_on_exact_seeds(self, monkeypatch):
+        # the equivalence workload's Luxemburg norm: every row of every
+        # bisection step starts at its exact maximizer, so none is
+        # ray-seeded or gridded, and a custom copy of the quadratic given
+        # its grad_inverse has the built-in's norm bit for bit
+        s = sample(distribution_from_spec("gaussian{Q=[[1,0.5],[0.5,1]]}"),
+                   20_000, seed=1)
+        phi = young_from_spec("quadratic{B=[[1,0],[0,1]]}")
+        searched = []
+        for name in ("_search", "_grid_stage"):
+            def counted(self, *args, inner=getattr(ConjugateEvaluator, name),
+                        name=name):
+                searched.append(name)
+                return inner(self, *args)
+
+            monkeypatch.setattr(ConjugateEvaluator, name, counted)
+        est = luxemburg_norm(s, OrliczFunction(phi), subsample=4000)
+        assert searched == []
+        custom = make_custom(2, phi.value_ext, gradient=phi.grad,
+                             hessian_at_origin=phi.hessian_at_origin,
+                             grad_inverse=phi.grad_inverse)
+        got = luxemburg_norm(s, OrliczFunction(custom), subsample=4000)
+        assert (got.value, got.bracket) == (est.value, est.bracket)
 
 
 class TestEquivalenceReport:

@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 
 import exptail
-from exptail.vectors import (DIMENSION_CAP, LogValue, bisect_rows, box_grid,
-                             coordinatewise_product, enumerate_sign_vectors,
-                             log_cosh, log_mean_exp, octant_contains,
-                             octants_containing, row_max_abs, row_norm,
-                             row_sum, sphere_directions)
-from exptail.errors import DimensionCapError, ShapeMismatchError
+from exptail.vectors import (DIMENSION_CAP, bisect_rows, box_grid,
+                             enumerate_sign_vectors, log_cosh, log_mean_exp,
+                             row_max_abs, row_norm, row_sum,
+                             sphere_directions)
+from exptail.errors import DimensionCapError
 
 
 class TestEnumerateSignVectors:
@@ -50,27 +49,6 @@ class TestEnumerateSignVectors:
             enumerate_sign_vectors(DIMENSION_CAP + 1)
         with pytest.raises(DimensionCapError):
             enumerate_sign_vectors(0)
-
-
-class TestCoordinatewiseProduct:
-    def test_identity_sign_vector(self):
-        assert coordinatewise_product([1, 1], [3.0, -2.0]).tolist() == [3.0, -2.0]
-
-    def test_sign_flip(self):
-        assert coordinatewise_product([-1, 1], [3.0, -2.0]).tolist() == [-3.0, -2.0]
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            coordinatewise_product([1, -1], [1.0, 2.0, 3.0])
-
-    @given(st.integers(1, 6), st.integers(0, 2**31 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_involution(self, d, seed):
-        rng = np.random.default_rng(seed)
-        eps = rng.choice([-1.0, 1.0], size=d)
-        x = rng.standard_normal(d)
-        back = coordinatewise_product(eps, coordinatewise_product(eps, x))
-        assert np.array_equal(back, x)
 
 
 class TestLogMeanExp:
@@ -108,45 +86,6 @@ class TestLogMeanExp:
         assert log_mean_exp([-math.inf, 0.0]) == pytest.approx(
             math.log(0.5), rel=1e-12)
         assert log_mean_exp([-math.inf, -math.inf]) == -math.inf
-
-
-class TestOctants:
-    def test_membership_definition(self):
-        assert octant_contains([1, -1], [2.0, -3.0])
-        assert not octant_contains([1, -1], [2.0, 3.0])
-
-    @given(st.integers(1, 6), st.integers(0, 2**31 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_nonzero_point_in_exactly_one(self, d, seed):
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(d)
-        while np.any(x == 0.0):
-            x = rng.standard_normal(d)
-        assert octants_containing(x).shape[0] == 1
-
-    def test_zero_coordinates_double_membership(self):
-        # k zero coordinates -> exactly 2^k octants
-        x = np.array([1.0, 0.0, -2.0, 0.0])
-        assert octants_containing(x).shape[0] == 4
-        assert octants_containing(np.zeros(3)).shape[0] == 8
-
-
-class TestLogValue:
-    def test_round_trip(self):
-        for x in (3.5, -2.25, 0.0, 1e-300):
-            assert LogValue.from_value(x).value() == pytest.approx(x, rel=1e-15)
-
-    def test_product_avoids_overflow(self):
-        a = LogValue(500.0, 1)
-        b = LogValue(400.0, -1)
-        prod = a * b
-        assert prod.sign == -1
-        assert prod.log_magnitude == 900.0
-        assert prod.value() == -math.inf  # saturates only on conversion
-
-    def test_zero_absorbs(self):
-        z = LogValue.from_value(0.0)
-        assert (z * LogValue(10.0, 1)).sign == 0
 
 
 class TestSphereDirections:
