@@ -19,6 +19,7 @@ from .empirical import (Gaussian, SampleSet, TailEstimate, empirical_variance,
                         sample, sample_sum, tail_function)
 from .errors import MissingCertificateError, ParameterError
 from .norms import NormEstimate, ProbePlan, bphi_norm
+from .vectors import quad_form, rows_times
 from .young import (CheckResult, YoungFunction, check_delta2_seminorm,
                     make_custom)
 
@@ -52,8 +53,9 @@ def chernov_bound(phi: YoungFunction, norm: float, x,
     ``TailBound``s from one ``ConjugateEvaluator.values`` call, and an
     empty batch gives ``[]``. Row i of a batch equals the lone call on
     ``x[i]`` bit for bit as long as phi evaluates each row alone, whatever
-    the rest of its batch, as every built-in family does; rows that share
-    a first conjugation box then share one grid and one evaluation of phi.
+    the rest of its batch, as every built-in family does by construction
+    (``vectors.rows_times``); rows that share a first conjugation box then
+    share one grid and one evaluation of phi.
 
     ``evaluator`` lets a caller conjugate through its own (for example an
     instrumented) ``ConjugateEvaluator``; it must have been built for this
@@ -124,7 +126,7 @@ def transform_norm(phi: YoungFunction, A, xi_norm: float, mgf_plain,
 
     def pushed(lam):
         lam = np.atleast_2d(np.asarray(lam, dtype=float))
-        return np.asarray(mgf_plain(lam @ A))   # rows (A^T lam)^T = lam A
+        return np.asarray(mgf_plain(rows_times(lam, A)))   # (A^T lam)^T
 
     measured = bphi_norm(pushed, phi, plan=plan)
     sem = check_delta2_seminorm(phi, A)
@@ -238,7 +240,7 @@ def _envelope(phi: YoungFunction, ns: Sequence[int], x: np.ndarray) -> np.ndarra
     branch-by-branch loop.
     """
     H = phi.hessian_at_origin
-    limit = 0.5 * np.einsum("...i,ij,...j->...", x, H, x)
+    limit = 0.5 * quad_form(x, H)
     n = np.asarray(ns, dtype=float)
     lift = (-1,) + (1,) * (x.ndim - 1)      # a leading axis over branches
     scaled = x / np.sqrt(n).reshape(lift + (1,))

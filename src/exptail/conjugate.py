@@ -19,10 +19,12 @@ search then runs each row's Brent search in Python floats, in rounds of one
 call holding the next point of every running row, about a quarter of the
 pattern search's calls. Every search stops each row on its own, so a
 row's value does not depend on the other rows of its batch as long as the
-source evaluates each row alone. The same searches serve the biconjugate
-check; the log-reparameterized conjugate behind the moment norm polishes a
-batch of order rows, one search per final box: ``bb_ascent`` when the
-source has a gradient, else ``pattern_search``.
+source evaluates each row alone, as every built-in family does by
+construction (its products, and the grid's, go through
+``vectors.rows_times``). The same searches serve the biconjugate check;
+the log-reparameterized conjugate behind the moment norm polishes a batch
+of order rows, one search per final box: ``bb_ascent`` when the source
+has a gradient, else ``pattern_search``.
 ``bb_ascent`` stops a row that starts at a stationary point (gradient below
 its tolerance) after one probe of length cell along the gradient, when that
 probe does not gain: the concave objective then curves enough that, in the
@@ -59,7 +61,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, UnreachableLevelError
-from .vectors import bisect_rows, box_grid, row_max_abs, row_norm, row_sum
+from .vectors import (bisect_rows, box_grid, row_max_abs, row_norm, row_sum,
+                      rows_times)
 from .young import YoungFunction
 
 _GRID_RES = {1: 129, 2: 65, 3: 33}
@@ -117,33 +120,27 @@ class ConjugateBatch:
 
 def _chunked_scores(Y, X, phiX):
     """Per-row argmax of Y X^T - phi(X), chunking the row dimension so that
-    a chunk's score block holds at most ``_SCORE_BLOCK`` entries, or two rows.
-
-    Every chunk is scored in place in one full-block buffer, so a call holds
-    one block of scores at a time however many rows it has, and calls on any
-    number of rows (one per box size) reuse one allocation, not a new heap.
-    A one-row chunk is scored as two copies of its row: a one-row product
-    would go to BLAS gemv, whose rounding differs from gemm's, so a row's
-    scores would depend on how many rows share its box. A point where phi is
+    a chunk's score block holds at most ``_SCORE_BLOCK`` entries, or one
+    row. Each chunk's product goes through ``rows_times``, so a row's scores
+    do not depend on how many rows share its box (at d >= 4, up to gemm's
+    own rows, which OpenBLAS can round by the batch). A point where phi is
     +inf scores -inf, also where y . x overflows to +inf."""
     m = Y.shape[0]
-    n = X.shape[0]
-    step = max(2, _SCORE_BLOCK // max(n, 1))
+    step = max(1, _SCORE_BLOCK // max(X.shape[0], 1))
     best_val = np.empty(m)
     best_idx = np.empty(m, dtype=np.int64)
-    buf = np.empty((step, n))
     off = np.flatnonzero(np.isposinf(phiX))
     for lo in range(0, m, step):
         hi = min(m, lo + step)
-        rows = Y[lo:hi] if hi - lo > 1 else Y[[lo, lo]]
         with np.errstate(over="ignore", invalid="ignore"):
-            scores = np.matmul(rows, X.T, out=buf[:rows.shape[0]])[:hi - lo]
+            scores = rows_times(Y[lo:hi], X.T)
             scores -= phiX
         if off.size:
             scores[:, off] = -np.inf
         idx = np.argmax(scores, axis=1)
         best_idx[lo:hi] = idx
         best_val[lo:hi] = scores[np.arange(hi - lo), idx]
+        del scores      # one block at a time, so the next reuses its memory
     return best_val, best_idx
 
 
@@ -710,12 +707,13 @@ def log_reparam_conjugate(phi: YoungFunction, r):
     row grid-searches its own box [_MU_LO, t]^d (concavity in mu is not
     assumed): t sits at the support's edge, or starts at 3 and grows by 3
     while the row's best point lies on the box's upper edge. The rows still
-    growing share one grid and its phi values, scored row by row. The rows
-    that end on the same box share one polish from their grid winners,
-    clipped at its upper edge, so a row's value does not depend on its
-    batch: ``bb_ascent`` with the gradient r - e^mu grad phi(e^mu) when phi
-    has one, else ``pattern_search``; the grid value stays a candidate. A
-    row whose box passes t = 400 is diverged, +inf.
+    growing share one grid and its phi values, scored by
+    ``_chunked_scores``. The rows that end on the same box share one polish
+    from their grid winners, clipped at its upper edge, so a row's value
+    does not depend on its batch: ``bb_ascent`` with the gradient
+    r - e^mu grad phi(e^mu) when phi has one, else ``pattern_search``; the
+    grid value stays a candidate. A row whose box passes t = 400 is
+    diverged, +inf.
     """
     d = phi.dimension
     R = np.atleast_1d(np.asarray(r, dtype=float))
@@ -736,12 +734,10 @@ def log_reparam_conjugate(phi: YoungFunction, r):
     live = np.arange(m)
     for _ in range(200):
         pts = box_grid(_MU_LO, np.full(d, top), res)
-        src = source(pts)
-        for i in live:
-            vals = pts @ R[i] - src
-            k = int(np.argmax(vals))
-            if vals[k] > best_v[i]:
-                best_v[i], best_mu[i] = vals[k], pts[k]
+        val, idx = _chunked_scores(R[live], pts, source(pts))
+        take = val > best_v[live]
+        best_v[live[take]] = val[take]
+        best_mu[live[take]] = pts[idx[take]]
         end[live] = top
         if not grow:
             break

@@ -17,7 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ParameterError
-from .vectors import EXP_FLOOR, enumerate_sign_vectors, log_cosh, log_mean_exp
+from .vectors import (EXP_FLOOR, enumerate_sign_vectors, log_cosh,
+                      log_mean_exp, quad_form, rows_times)
 from .young import SupportRegion, YoungFunction, make_custom
 
 #: Rows generated per derived-seed chunk.
@@ -59,8 +60,7 @@ class Gaussian:
         Q = self.covariance
 
         def f(lam):
-            lam = np.atleast_2d(np.asarray(lam, dtype=float))
-            return 0.5 * np.einsum("...i,ij,...j->...", lam, Q, lam)
+            return 0.5 * quad_form(np.atleast_2d(lam), Q)
 
         return f
 
@@ -481,7 +481,7 @@ def empirical_variance(s: SampleSet) -> np.ndarray:
 #: Elements per row block of the direct kernel (6 rows at n = 20k). A
 #: block's float64 products (1 MB) fit a 2 MB L2 cache, so the passes that
 #: shift, exponentiate and sum them in place do not go out to memory. Past
-#: n = 64k a block is two rows of n samples.
+#: n = 64k a block is one row of n samples.
 _NATURAL_BLOCK = 1 << 17
 
 #: Level-0 bin width of the ray kernel, in units of t = <h o u, xi>.
@@ -506,11 +506,6 @@ _RAY_BASE = 4
 #: groups of about this many moments, and a group's radii run in blocks of
 #: at most this many (radius, bin) terms.
 _RAY_BLOCK = 1 << 15
-
-
-def _split(m: int, count: int) -> list:
-    """(lo, hi) bounds of ``count`` contiguous near-equal runs of m rows."""
-    return [(i * m // count, (i + 1) * m // count) for i in range(count)]
 
 
 def _best_flip(lme, S):
@@ -628,9 +623,8 @@ class EmpiricalNaturalFunction:
     - Points (``evaluate_with_trust(points)``) go through the direct
       kernel. Each of a point's 2^d sign flips is a row of one batch, and
       the batch runs through a log-sum-exp over all samples in blocks of
-      at least two rows. A one-row product would go to BLAS gemv, whose
-      rounding differs from that of gemm, so with two rows a point's value
-      does not depend on its batch.
+      ``_block_rows`` rows, each block's product through
+      ``vectors.rows_times``.
     - Rays (``evaluate_with_trust(directions, radii=radii)``) go through
       binned Taylor sums, which pay n K once per direction and sign row
       instead of n exponentials per radius. A row is a direction u with
@@ -657,7 +651,7 @@ class EmpiricalNaturalFunction:
         self.source = source
         self._data = source.data - source.data.mean(axis=0, keepdims=True)
         self._signs = enumerate_sign_vectors(source.dimension)
-        self._block_rows = max(2, _NATURAL_BLOCK // self._data.shape[0])
+        self._block_rows = max(1, _NATURAL_BLOCK // self._data.shape[0])
         #: base level -> (direction bytes, rows) of the last direction binned
         #: at it, so ``tabulated_young``'s grid reuses ``trust_radius``'s rows
         self._last_rows = {}
@@ -696,26 +690,24 @@ class EmpiricalNaturalFunction:
 
     def _evaluate_part(self, pts):
         """Direct kernel: values and trust flags of a run of points, whose
-        flips are consecutive rows, one row block at a time in one buffer."""
+        flips are consecutive rows, in blocks of ``_block_rows`` rows."""
         data = self._data
         n, d = data.shape
         flips = (pts[:, None, :] * self._signs).reshape(-1, d)
         rows = flips.shape[0]
-        blocks = _split(rows, -(-rows // self._block_rows))
-        height = max((hi - lo for lo, hi in blocks), default=0)
-        buf = np.empty(height * n)
         lme = np.empty(rows)
         # S = sum of exp(t - max t), so the top term's share of the mass is 1/S
         S = np.empty(rows)
-        for lo, hi in blocks:
-            T = np.matmul(flips[lo:hi], data.T,
-                          out=buf[:(hi - lo) * n].reshape(hi - lo, n))
+        for lo in range(0, rows, self._block_rows):
+            hi = min(rows, lo + self._block_rows)
+            T = rows_times(flips[lo:hi], data.T)
             M = T.max(axis=1)
             T -= M[:, None]
             np.maximum(T, EXP_FLOOR, out=T)
             np.exp(T, out=T)
             S[lo:hi] = T.sum(axis=1)
             lme[lo:hi] = M + np.log(S[lo:hi]) - math.log(n)
+            del T       # one block at a time, so the next reuses its memory
         shape = (pts.shape[0], len(self._signs))
         return _best_flip(lme.reshape(shape), S.reshape(shape))
 

@@ -1,6 +1,7 @@
 """Sign-vector enumeration, log-mean-exp, and the numerical primitives every
-other module shares: a row-wise monotone bisection, box grids, and a stable
-log-cosh.
+other module shares: a row-wise monotone bisection, box grids, a stable
+log-cosh, and the row products over the d coordinates (``rows_times``,
+``quad_form``), which every module routes its per-row products through.
 
 Everything here is a pure function of immutable inputs; no shared state.
 Sign vectors are plain float arrays with entries in {-1.0, +1.0}.
@@ -145,6 +146,25 @@ def row_sum(a) -> np.ndarray:
     for j in range(k, d):
         s += a[..., j]
     return s if s.ndim else s[()]    # a scalar for one point, as np.sum
+
+
+def rows_times(X, A) -> np.ndarray:
+    """X @ A over points (..., d), every row computed by BLAS gemm: numpy
+    sends a one-row product to gemv, which rounds otherwise, so a lone row
+    with d >= 2 goes through as two copies of itself (at d = 1 there is no
+    sum to round). A row then rounds alone as in any batch wherever gemm's
+    rows do not depend on the batch's size: for a d x d A, and at d <= 3;
+    OpenBLAS can round a wider product's rows at d >= 4 by the batch."""
+    X = np.asarray(X, dtype=float)
+    rows = X.reshape(-1, X.shape[-1])
+    lone = rows.shape[0] == 1 and rows.shape[1] > 1
+    out = (rows[[0, 0]] @ A)[:1] if lone else rows @ A
+    return out.reshape(X.shape[:-1] + out.shape[1:])
+
+
+def quad_form(X, A) -> np.ndarray:
+    """(A x, x) over points (..., d), as ``row_sum(X * rows_times(X, A))``."""
+    return row_sum(X * rows_times(X, A))
 
 
 def row_max_abs(a) -> np.ndarray:

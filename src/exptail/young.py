@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import OutsideSupportError, ParameterError
 from .vectors import (bisect_rows, enumerate_sign_vectors, log_cosh,
-                      row_max_abs, row_norm, row_sum, sphere_directions)
+                      quad_form, row_max_abs, row_norm, row_sum, rows_times,
+                      sphere_directions)
 
 
 @dataclass(frozen=True)
@@ -180,15 +181,6 @@ class YoungFunction:
 
 # -- concrete families ---------------------------------------------------
 
-def _rows_times(Y, A):
-    """Y @ A with a one-row Y multiplied as two copies of its row: a one-row
-    product would go to BLAS gemv, which rounds otherwise than gemm, so a
-    row would depend on its batch."""
-    if Y.shape[0] == 1:
-        return (Y[[0, 0]] @ A)[:1]
-    return Y @ A
-
-
 def make_quadratic(B) -> YoungFunction:
     """phi(lam) = 0.5 (B lam, lam) for a positive definite symmetric B."""
     B = np.atleast_2d(np.asarray(B, dtype=float))
@@ -204,13 +196,12 @@ def make_quadratic(B) -> YoungFunction:
     B_inv_t = np.ascontiguousarray(np.linalg.inv(B).T)
 
     def ev(x):
-        # einsum may round a row differently alone than in a batch
-        return 0.5 * row_sum(x * (x @ B))
+        return 0.5 * quad_form(x, B)
 
     def gi(y):
-        return _rows_times(y, B_inv_t), np.zeros(y.shape[0], dtype=bool)
+        return rows_times(y, B_inv_t), np.zeros(y.shape[0], dtype=bool)
 
-    return YoungFunction(d, ev, gradient=lambda x: x @ B,
+    return YoungFunction(d, ev, gradient=lambda x: rows_times(x, B),
                          hessian_at_origin=B, family="quadratic",
                          params={"B": B.copy()}, grad_inverse=gi)
 
@@ -294,16 +285,14 @@ def make_radial(nu: Callable[[np.ndarray], np.ndarray], Q,
         raise ParameterError("nu(0) must be 0")
     d = Q.shape[0]
 
-    def quad(x):
-        return row_sum(x * (x @ Q))    # batch-independent, as above
-
     def ev(x):
-        return nu(quad(x))
+        return nu(quad_form(x, Q))
 
     gr = gi = None
     if nu_prime is not None:
         def gr(x):
-            return (2.0 * np.asarray(nu_prime(quad(x)))[..., None]) * (x @ Q)
+            s = np.asarray(nu_prime(quad_form(x, Q)))
+            return (2.0 * s)[..., None] * rows_times(x, Q)
 
         Q_inv_t = np.ascontiguousarray(np.linalg.inv(Q).T)
 
@@ -313,7 +302,7 @@ def make_radial(nu: Callable[[np.ndarray], np.ndarray], Q,
             # one spacing; a row with no root below 1e300 is non-finite
             with np.errstate(over="ignore", invalid="ignore",
                              divide="ignore"):
-                z = _rows_times(y, Q_inv_t)
+                z = rows_times(y, Q_inv_t)
                 w = row_sum(y * z)
 
                 def ok(q, rows):

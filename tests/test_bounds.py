@@ -20,7 +20,7 @@ from exptail.empirical import (Gaussian, RademacherScaled, SymmetricWeibull,
 from exptail.errors import OutsideSupportError, ParameterError
 from exptail.norms import bphi_norm, ray_probe_plan
 from exptail.specs import young_from_spec
-from exptail.vectors import log_mean_exp, log_mean_exp_se
+from exptail.vectors import log_mean_exp, log_mean_exp_se, quad_form
 from exptail.young import (check_lambda2, make_bounded_support, make_custom,
                            make_logcosh, make_power, make_quadratic)
 
@@ -352,9 +352,10 @@ class TestLowerBound:
 
 
 def _phi_bar_loop(phi, x, ns):
-    """The branch-by-branch envelope, kept as the reference."""
+    """The branch-by-branch envelope, kept as the reference; the CLT term
+    0.5 (Hx, x) is taken row by row."""
     H = phi.hessian_at_origin
-    best = 0.5 * np.einsum("...i,ij,...j->...", x, H, x)
+    best = np.array([0.5 * quad_form(row, H) for row in x])
     for n in ns:
         best = np.maximum(best, n * phi.value_ext(x / math.sqrt(n)))
     return best
@@ -412,3 +413,18 @@ class TestStackedEnvelope:
         assert np.isfinite(branches[2:, 1]).all()
         assert np.array_equal(phi_bar(phi, x, n_max=64),
                               _phi_bar_loop(phi, x, ns))
+
+    def test_quadratic_rows_equal_lone_queries(self):
+        # the CLT term 0.5 (Hx, x) and every branch round a row the same
+        # in any batch, so phi-bar and its conjugate match lone queries
+        fb = phi_bar_function(make_quadratic([[1.0, 0.5], [0.5, 1.0]]))
+        x = np.random.default_rng(8).uniform(-6.0, 6.0, (200, 2))
+        vals = fb.value_ext(x)
+        assert all(fb.value_ext(row) == v for row, v in zip(x, vals))
+        ev = ConjugateEvaluator(fb)
+        Y = x[:50]
+        batch = ev.values(Y)
+        for i, y in enumerate(Y):
+            alone = ev.value(y)
+            assert batch.values[i] == alone.value
+            assert np.array_equal(batch.argmax[i], alone.argmax)

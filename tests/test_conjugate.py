@@ -239,16 +239,26 @@ class TestBatchIndependence:
             assert batch.slack[i] == alone.slack
             assert np.array_equal(batch.argmax[i], alone.argmax)
 
-    @pytest.mark.parametrize("spec", ["quadratic{B=[[1,.5],[.5,2]]}",
-                                      "radial{nu=pow2,Q=[[1,.2],[.2,1]]}"])
+    @pytest.mark.parametrize("spec", [
+        "quadratic{B=[[1,.5],[.5,2]]}", "radial{nu=pow2,Q=[[1,.2],[.2,1]]}",
+        "quadratic{B=[[1.5,.5,.5,.5,.5],[.5,1.5,.5,.5,.5],[.5,.5,1.5,.5,.5],"
+        "[.5,.5,.5,1.5,.5],[.5,.5,.5,.5,1.5]]}",
+        "radial{nu=pow2,Q=[[2,.3,0,.1],[.3,1,.2,0],[0,.2,1.5,.4],"
+        "[.1,0,.4,1]]}"])
     def test_matrix_product_row_matches_lone_query(self, spec):
         # the quadratic and radial families round a row the same in any
         # batch, so a row matches its lone query bit for bit; the rows run
-        # from |y| = 1e-9 to about 150
+        # from |y| = 1e-9 to about 150 (the d = 5 B is that of
+        # configs/conjugate_quadratic_d5.json)
         phi = young_from_spec(spec)
-        angles = np.linspace(0.0, 2.0 * np.pi, 13)[:-1]
-        Y = (np.geomspace(1e-9, 150.0, 12)[:, None]
-             * np.stack([np.cos(angles), np.sin(angles)], axis=1))
+        if phi.dimension == 2:
+            angles = np.linspace(0.0, 2.0 * np.pi, 13)[:-1]
+            Y = (np.geomspace(1e-9, 150.0, 12)[:, None]
+                 * np.stack([np.cos(angles), np.sin(angles)], axis=1))
+        else:
+            U = np.random.default_rng(3).standard_normal((200, phi.dimension))
+            Y = (np.geomspace(1e-9, 150.0, 200)[:, None]
+                 * U / np.linalg.norm(U, axis=1, keepdims=True))
         ev = ConjugateEvaluator(phi)
         batch = ev.values(Y)
         for i in range(Y.shape[0]):
@@ -259,8 +269,7 @@ class TestBatchIndependence:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_grid_scores_do_not_depend_on_rows_sharing_a_box(self, d):
-        # a one-row product would go to BLAS gemv, which rounds otherwise
-        # than gemm, so a one-row chunk is scored as two rows
+        # a lone row's scores round as in a chunk of many rows
         X = box_grid(-4.0, np.full(d, 4.0), 33)
         phiX = 0.5 * np.sum(X * X, axis=1)
         Y = np.abs(np.random.default_rng(1).standard_normal((40, d))) * 1.37

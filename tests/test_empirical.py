@@ -144,8 +144,7 @@ def _log_sum_exp(t):
 def _oracle_natural(nat, pts):
     """The plain definition: for each sign flip of each point, the float64
     log-mean-exp over all samples; each point keeps its largest flip. A flip
-    is a row of a two-row product, because BLAS gemv rounds a one-row
-    product differently from gemm."""
+    is a row of a two-row product, a gemm as in the kernel's blocks."""
     data = nat._data
     log_n = math.log(data.shape[0])
     best = np.full(pts.shape[0], -np.inf)
@@ -217,11 +216,10 @@ class TestNaturalKernel:
         for parts in sorted({2, 3, m}):
             done = [nat._evaluate_part(pts[i * m // parts:(i + 1) * m // parts])
                     for i in range(parts)]
-            vals = np.concatenate([v for v, _ in done])
-            # a one-row part runs through BLAS gemv instead of gemm; its
-            # rounding moves M + log S, which is of order 1, not the value
-            assert np.all(np.abs(vals - whole_vals)
-                          <= 1e-13 * (1.0 + np.abs(whole_vals)))
+            # a part's flips sit in other blocks than in the whole, which
+            # round each row alike
+            assert np.array_equal(np.concatenate([v for v, _ in done]),
+                                  whole_vals)
             assert np.array_equal(np.concatenate([t for _, t in done]),
                                   whole_trusted)
         vals, trusted = nat.evaluate_with_trust(pts)
@@ -246,11 +244,11 @@ class TestNaturalKernel:
         (Gaussian([[1.0, 0.3, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 2.0]]),
          20_000),
         (Gaussian([[1.0, 0.5], [0.5, 1.0]]), 250_000)],
-        ids=["gaussian_d3", "gaussian_d2_two_row_blocks"])
+        ids=["gaussian_d3", "gaussian_d2_one_row_blocks"])
     def test_lone_point_equals_batch_of_flips(self, dist, n):
-        # d = 3 gives 8 flip rows a point; n = 250k gives blocks of 2 rows
+        # d = 3 gives 8 flip rows a point; n = 250k gives blocks of 1 row
         nat = natural_function(sample(dist, n, 5))
-        assert nat._block_rows == (6 if n == 20_000 else 2)
+        assert nat._block_rows == (6 if n == 20_000 else 1)
         pts = ray_probe_plan(dist.dimension).points[::97]
         vals, trusted = nat.evaluate_with_trust(pts)
         assert np.array_equal(vals, _oracle_natural(nat, pts)[0])
@@ -258,25 +256,6 @@ class TestNaturalKernel:
             assert nat.evaluate_with_trust(p) == (v, t)
             row_vals, row_trusted = nat.evaluate_with_trust(p[None, :])
             assert row_vals[0] == v and row_trusted[0] == t
-
-    @pytest.mark.parametrize("block_rows", [2, 3, 6, 7])
-    def test_no_block_of_one_row(self, monkeypatch, block_rows):
-        # a one-row product would go to BLAS gemv, whose rounding differs
-        split = empirical._split
-        heights = []
-
-        def recorded(m, count):
-            bounds = split(m, count)
-            heights.extend(hi - lo for lo, hi in bounds)
-            return bounds
-
-        monkeypatch.setattr(empirical, "_split", recorded)
-        for d in (1, 2, 3):
-            nat = natural_function(sample(Gaussian(np.eye(d)), 50, 3))
-            nat._block_rows = block_rows
-            for m in range(1, 12):
-                nat._evaluate_part(np.ones((m, d)))
-        assert heights and min(heights) >= 2
 
     def test_non_finite_point_is_nan_and_untrusted(self):
         # the per-flip `>` selection skipped NaN and read 0, trusted
@@ -552,6 +531,12 @@ class TestRayKernel:
 
 
 class TestAnalyticNaturalFunction:
+    def test_gaussian_mgf_rows_equal_lone_queries(self):
+        f = Gaussian([[1.0, 0.5], [0.5, 1.0]]).mgf_log()
+        lam = np.random.default_rng(9).uniform(-4.0, 4.0, (300, 2))
+        vals = f(lam)
+        assert all(f(row)[0] == v for row, v in zip(lam, vals))
+
     def test_gaussian_max_over_flips(self):
         Q = np.array([[1.0, 0.9], [0.9, 1.0]])
         f = analytic_natural_function(Gaussian(Q))

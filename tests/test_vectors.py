@@ -13,8 +13,8 @@ from scipy.special import ndtri
 import exptail
 from exptail.vectors import (DIMENSION_CAP, bisect_rows, box_grid,
                              enumerate_sign_vectors, log_cosh, log_mean_exp,
-                             row_max_abs, row_norm, row_sum,
-                             sphere_directions)
+                             quad_form, row_max_abs, row_norm, row_sum,
+                             rows_times, sphere_directions)
 from exptail.errors import DimensionCapError
 
 
@@ -276,3 +276,29 @@ class TestRowHelpers:
         x = np.array([3.0, -4.0])
         assert row_sum(x) == -1.0 and np.ndim(row_sum(x)) == 0
         assert row_norm(x) == 5.0 and row_max_abs(x) == 4.0
+
+
+class TestRowProducts:
+    @pytest.mark.parametrize("d", range(1, DIMENSION_CAP + 1))
+    def test_rows_equal_rows_of_a_larger_gemm(self, d):
+        # the d x d products of the quadratic and radial families: at any
+        # batch size, down to one row and none, a row has the bits of its
+        # row in a 300-row gemm (at d = 1, of an exact product)
+        rng = np.random.default_rng(d)
+        A = rng.standard_normal((d, d))
+        A = A + A.T
+        X = rng.standard_normal((300, d)) * np.exp(rng.uniform(-5, 5, (300, 1)))
+        big = X @ A
+        quad = row_sum(X * big)
+        for m in (0, 1, 2, 3, 17, 300):
+            got = rows_times(X[:m], A)
+            assert got.shape == (m, d) and np.array_equal(got, big[:m])
+            assert np.array_equal(quad_form(X[:m], A), quad[:m])
+        for i in range(0, 300, 7):
+            assert np.array_equal(rows_times(X[i], A), big[i])
+            assert np.array_equal(rows_times(X[i:i + 1], A), big[i:i + 1])
+            assert quad_form(X[i], A) == quad[i]
+            assert np.ndim(quad_form(X[i], A)) == 0
+        stacked = X[:24].reshape(4, 6, d)
+        assert np.array_equal(rows_times(stacked, A), big[:24].reshape(4, 6, d))
+        assert np.array_equal(quad_form(stacked, A), quad[:24].reshape(4, 6))
